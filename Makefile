@@ -9,7 +9,8 @@ FUZZ_TIME ?= 20s
 
 # The Get-path trajectory benchmarks: single-key Get (serial + parallel,
 # steady and mid-migration), batched GetBatch, and the Put baselines the
-# read path is traded against. BENCH_GET_CPUS exercises reader scaling.
+# read path is traded against. BENCH_GET_CPUS exercises reader scaling;
+# benchjson drops the rows of any value above the machine's CPU count.
 # CMapGet also picks up CMapGetObsOff/On (the instrumented-vs-bare Get
 # pair pinning the metrics overhead) and ObsRecord covers the obs
 # recording primitives themselves, so BENCH_get.json carries the
@@ -29,9 +30,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static invariant gate: gofmt, then the eight reprolint analyzers
-# (seqatomic, noalloc, unsafeview, digestflow, lockheld, fsyncorder,
-# boundedinput, lockorder — see ANNOTATIONS.md) over every package
+# Static invariant gate: gofmt, then the seven reprolint analyzers
+# (noalloc, unsafeview, digestflow, lockheld, fsyncorder, boundedinput,
+# lockorder — see ANNOTATIONS.md) over every package
 # including cmd/ and examples/, driven through `go vet -vettool` so
 # runs are cached per package like any other vet check. staticcheck
 # runs when installed; CI installs a pinned version, offline dev boxes
@@ -59,10 +60,11 @@ lint-gate:
 test:
 	$(GO) test ./...
 
-# Race-detector pass; required for internal/cmap (concurrent shard locks
-# and the resize hand-off race test, TestRaceResizeHandoff). Kept out of
-# `check` so the default target stays fast — CI runs it as its own job,
-# and it re-executes the same suite `test` already covers.
+# Race-detector pass; required for internal/cmap (concurrent shard locks,
+# the resize hand-off race test TestRaceResizeHandoff, and the exact-read
+# hunt TestStableReadsDuringResize). Kept out of `check` so the default
+# target stays fast — CI runs it as its own job, and it re-executes the
+# same suite `test` already covers.
 race:
 	$(GO) test -race ./...
 

@@ -11,18 +11,24 @@
 //
 //	BenchmarkCMapGetParallel/shards=64/uniform-8   20000000   86.4 ns/op   0 B/op   0 allocs/op
 //
-// becomes one entry carrying the benchmark name, the GOMAXPROCS suffix
-// (the `-cpu` value the run used), iterations, and every recognized
-// per-op metric. Environment header lines (goos/goarch/pkg/cpu) are
-// captured once. Unrecognized lines are ignored, so the tool is safe to
-// feed a whole `make bench` transcript.
+// becomes one entry carrying the benchmark name, the package from the
+// nearest preceding `pkg:` header, the GOMAXPROCS suffix (the `-cpu`
+// value the run used), iterations, and every recognized per-op metric.
+// Results whose GOMAXPROCS exceeds the machine's CPU count are dropped:
+// goroutines beyond the core count only time-slice, so such a row
+// measures the scheduler, not scaling. The remaining environment header
+// lines (goos/goarch/cpu) are captured once, alongside the CPU count.
+// Unrecognized lines are ignored, so the tool is safe to feed a whole
+// `make bench` transcript.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,6 +36,7 @@ import (
 // Result is one benchmark measurement.
 type Result struct {
 	Name        string  `json:"name"`               // full sub-benchmark path, -cpu suffix stripped
+	Pkg         string  `json:"pkg,omitempty"`      // import path of the benchmark's package
 	Procs       int     `json:"procs"`              // GOMAXPROCS the run used (the -N suffix; 1 if absent)
 	Iterations  int64   `json:"iterations"`         // b.N
 	NsPerOp     float64 `json:"ns_per_op"`          // time/op in nanoseconds
@@ -42,14 +49,36 @@ type Result struct {
 type Doc struct {
 	GoOS       string   `json:"goos,omitempty"`
 	GoArch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	NProc      int      `json:"nproc"` // CPUs of the converting machine; rows above it are dropped
 	Benchmarks []Result `json:"benchmarks"`
 }
 
 func main() {
-	doc := Doc{Benchmarks: []Result{}}
-	sc := bufio.NewScanner(os.Stdin)
+	doc, dropped, err := convert(os.Stdin, runtime.NumCPU())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: dropped %d results run with more procs than the %d CPUs here\n", dropped, doc.NProc)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// convert reads a benchfmt transcript and returns its Doc for a machine
+// with nproc CPUs, plus the number of results dropped for running with
+// more procs than that.
+func convert(r io.Reader, nproc int) (Doc, int, error) {
+	doc := Doc{NProc: nproc, Benchmarks: []Result{}}
+	dropped := 0
+	pkg := ""
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -59,25 +88,23 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseResult(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, r)
+			r, ok := parseResult(line)
+			if !ok {
+				continue
 			}
+			if r.Procs > nproc {
+				dropped++
+				continue
+			}
+			r.Pkg = pkg
+			doc.Benchmarks = append(doc.Benchmarks, r)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return doc, dropped, sc.Err()
 }
 
 // parseResult decodes one benchfmt result line: name, iteration count,

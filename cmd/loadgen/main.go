@@ -14,16 +14,15 @@
 //	        report Mops/sec per key kind
 //	-keys   size of the key space (smaller = hotter keys, more same-shard
 //	        lock traffic and update-in-place)
-//	-read   fraction of operations that are Gets (seq-capable key kinds
-//	        read lock-free under the seqlock protocol, so high read
-//	        fractions scale with GOMAXPROCS and never wait on writers)
-//	-mget   batch Gets through the pipelined GetBatch tier, this many
-//	        keys per call (0 = per-key Gets); amortizes hashing and
-//	        overlaps the probes' cache misses
+//	-read   fraction of operations that are Gets (Gets take the shard's
+//	        read lock, so they run in parallel with each other and wait
+//	        only for a writer on the same shard)
+//	-mget   batch Gets through GetBatch, this many keys per call (0 =
+//	        per-key Gets); hashes each chunk of keys in one pass, then
+//	        probes key by key under the shard read locks
 //	-preset "read-heavy" = the 95% Get / 5% Put serving mix, with every
 //	        op's latency recorded into a fixed-bucket histogram
-//	        (p50/p99/p999, no sampling bias) on top of Mops/sec — the
-//	        profile where the seqlock read path shows up end-to-end
+//	        (p50/p99/p999, no sampling bias) on top of Mops/sec
 //	-grow   max load factor: shards crossing it double online, migrating
 //	        entries in -migrate-batch steps piggybacked on writes
 //	-drain  background goroutine driving migration even when writes idle
@@ -334,7 +333,7 @@ func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Code
 	}
 
 	// Batched-lookup surface: the raw map or the WAL interposer, both of
-	// which forward GetBatch to cmap's pipelined tier.
+	// which forward GetBatch to cmap.
 	getBatcher, hasBatch := any(target).(interface {
 		GetBatch(keys []K, vals []uint64, found []bool) int
 	})
@@ -720,8 +719,8 @@ func (w *walMap[K]) Delete(key K) bool {
 
 func (w *walMap[K]) Get(key K) (uint64, bool) { return w.m.Get(key) }
 
-// GetBatch forwards to the map's pipelined batch tier — reads are not
-// logged, so the interposer adds nothing.
+// GetBatch forwards to the map's GetBatch — reads are not logged, so
+// the interposer adds nothing.
 func (w *walMap[K]) GetBatch(keys []K, vals []uint64, found []bool) int {
 	return w.m.GetBatch(keys, vals, found)
 }

@@ -30,8 +30,8 @@ func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, 
 	reg := obs.NewRegistry()
 
 	// Map layer: sampled op latencies, the paper's which-choice-held
-	// probe-depth distribution, and occupancy/resize/seqlock health
-	// pulled from Stats().
+	// probe-depth distribution, and occupancy/resize figures pulled
+	// from Stats().
 	reg.Histogram("repro_map_get_seconds", "sampled map Get latency (1-in-64 digest-keyed sample)", mapMx.GetNanos, 1e-9)
 	reg.Histogram("repro_map_put_seconds", "sampled map Put latency (1-in-64 digest-keyed sample)", mapMx.PutNanos, 1e-9)
 	reg.Histogram("repro_map_getbatch_seconds", "map GetBatch whole-call latency (every call)", mapMx.BatchNanos, 1e-9)
@@ -43,8 +43,6 @@ func buildRegistry(m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics, 
 	reg.Gauge("repro_map_occupancy", "stored pairs over total slot capacity", stat(func(s repro.ContainerStats) float64 { return s.Occupancy }))
 	reg.Gauge("repro_map_resizes_total", "completed online shard resizes", stat(func(s repro.ContainerStats) float64 { return float64(s.Resizes) }))
 	reg.Gauge("repro_map_migrating", "entries awaiting migration in resizing shards", stat(func(s repro.ContainerStats) float64 { return float64(s.Migrating) }))
-	reg.Gauge("repro_map_seq_retries_total", "seqlock optimistic-read retries", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqRetries) }))
-	reg.Gauge("repro_map_seq_fallbacks_total", "seqlock reads that fell back to the shard lock", stat(func(s repro.ContainerStats) float64 { return float64(s.SeqFallbacks) }))
 
 	// Durability layer: WAL append/fsync latency, group-commit batch
 	// sizes, poison events, recovery totals, checkpoint cost.

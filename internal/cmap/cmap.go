@@ -16,28 +16,9 @@
 // analysis), so stash overflow can be provisioned from the paper's tables
 // exactly as in the single-threaded table.
 //
-// # Seqlock reads
-//
-// For seq-capable key/value types (pointer-free, size a multiple of 4
-// bytes — mchtable.SeqCapable; uint64s, fixed arrays, packet 5-tuple
-// structs), Get and GetBatch never take the shard lock on their fast
-// path. Each shard carries a sequence counter that writers bump to odd
-// on entering a mutation and back to even on leaving; a reader snapshots
-// the counter, probes the shard's published bucket views and stash with
-// atomic word reads (both geometries mid-resize, old first), and accepts
-// the result only if the counter is still the same even value — anything
-// else means a writer overlapped the probe and the value may be torn, so
-// the reader retries, falling back to the read lock after a few spins so
-// readers never starve under write churn. Readers therefore wait on no
-// lock, block no writer, and cost writers two uncontended atomic
-// increments; see internal/mchtable's seq-mode notes for why both sides
-// use word-granular atomics (Go's memory model, unlike a C seqlock's,
-// does not forgive torn plain reads even when discarded).
-//
-// Pointerful types (string keys, slice values, ...) keep the classic
-// read-lock path: raw word stores would bypass the garbage collector's
-// write barriers, so those types are never published to lock-free
-// readers.
+// Reads (Get, GetBatch, Len, Stats, Range) take the shard's read lock, so
+// they run in parallel with each other and wait only for a writer on the
+// same shard; writes (Put, Delete, migration steps) take its write lock.
 //
 // # Online incremental resize
 //
@@ -55,23 +36,19 @@
 // in the new geometry, moving a still-old-resident key across as a free
 // migration step. Shards resize independently: one shard's migration
 // never blocks another shard's traffic, and a Get never performs
-// migration work — a seqlock Get proceeds in parallel with an in-flight
-// batch step and retries only if the step overlaps its probe, while a
-// fallback (locked) read can wait behind one, bounded by MigrateBatch.
+// migration work, though it can wait behind one step, bounded by
+// MigrateBatch.
 //
 // The keyed hash evaluation always happens outside the shard lock. With
 // resize enabled, the cheap geometry-dependent candidate expansion moves
-// under the lock on the write path, because a doubling may change the
-// shard's bucket count at any write; seqlock readers instead validate
-// that their deriver and bucket view describe the same geometry and
-// retry on mismatch, keeping the whole read path lock-free.
+// under the lock, because a doubling may change the shard's bucket count
+// at any write.
 package cmap
 
 import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/container"
 	"repro/internal/hashes"
@@ -82,13 +59,6 @@ import (
 // maxD bounds the candidate count so per-call candidate sets fit in a
 // stack array (no allocation, no shared scratch).
 const maxD = 16
-
-// seqSpins is how many torn-read retries an optimistic reader attempts
-// before falling back to the shard's read lock. Retries are only caused
-// by writer overlap on the same shard, so a couple of spins almost
-// always suffice; the fallback bounds reader latency under pathological
-// write churn instead of spinning forever.
-const seqSpins = 8
 
 // Config declares a sharded map.
 type Config struct {
@@ -110,55 +80,24 @@ type Config struct {
 	MigrateBatch int
 }
 
-// shard is one lockable placement core plus its geometry. seq is the
-// seqlock generation counter: odd exactly while a mutation is in flight
-// (see lock/unlock), read by the lock-free Get path. The derivers are
-// atomic pointers because lock-free readers chase them while a promotion
-// swaps them; deriver matches the core's current bucket count,
-// nextDeriver the doubled geometry while a resize is in flight. The
-// trailing pad keeps adjacent shards' hot words off one cache line, so
-// uncontended shards do not false-share.
+// shard is one lockable placement core plus its geometry. deriver
+// matches the core's current bucket count, nextDeriver the doubled
+// geometry while a resize is in flight; both are guarded by mu, except
+// that with resize disabled deriver is never reassigned and is read
+// without the lock. The trailing pad keeps adjacent shards' hot words off
+// one cache line, so uncontended shards do not false-share.
 type shard[K comparable, V any] struct {
 	//repro:lockclass cmap-shard 30
 	mu          sync.RWMutex
-	seq         atomic.Uint64
 	core        *mchtable.Core[K, V] // set once at construction; the pointer itself never changes
-	deriver     atomic.Pointer[hashes.Deriver]
-	nextDeriver atomic.Pointer[hashes.Deriver]
+	deriver     *hashes.Deriver
+	nextDeriver *hashes.Deriver
 	candsOf     func(tag uint64) []uint32 // current-geometry drain derivation
 	newCandsOf  func(tag uint64) []uint32 // new-geometry drain/migrate derivation
 	scratch     []uint32                  // candsOf target; guarded by mu (write side)
 	newScratch  []uint32                  // newCandsOf target; guarded by mu (write side)
 
-	// Seqlock read-path health, surfaced through Stats: torn or
-	// overlapped optimistic attempts that retried, and reads that gave
-	// up spinning (or snapshotted mid-mutation in GetBatch) and took
-	// the lock. Bumped only off the fast path — a clean first-attempt
-	// read touches neither — so counting costs the steady state
-	// nothing.
-	seqRetries   atomic.Uint64
-	seqFallbacks atomic.Uint64
-
 	_ [64]byte
-}
-
-// lock enters a shard mutation: writer exclusion plus the seqlock
-// generation bump to odd that makes concurrent optimistic readers
-// discard anything they read while the mutation runs.
-//
-//repro:noalloc
-func (sh *shard[K, V]) lock() {
-	sh.mu.Lock()
-	sh.seq.Add(1)
-}
-
-// unlock leaves a shard mutation, bumping the generation back to even
-// (and past every reader snapshot taken before the mutation).
-//
-//repro:noalloc
-func (sh *shard[K, V]) unlock() {
-	sh.seq.Add(1)
-	sh.mu.Unlock()
 }
 
 // Map is the sharded multiple-choice hash map from K keys to V values.
@@ -171,10 +110,8 @@ type Map[K comparable, V any] struct {
 	hash         keyed.Hasher[K]
 	maxLoad      float64
 	migrateBatch int
-	seqRead      bool     // lock-free Get path enabled (K and V are SeqCapable)
 	metrics      *Metrics // optional latency/probe instrumentation; nil = uninstrumented
 	shards       []shard[K, V]
-	mgetPool     sync.Pool // *mgetScratch[K, V], reused across GetBatch calls
 }
 
 // New returns an empty uint64 → uint64 map hashed with the canonical
@@ -227,25 +164,21 @@ func NewKeyed[K comparable, V any](h keyed.Hasher[K], cfg Config) *Map[K, V] {
 		hash:         h,
 		maxLoad:      cfg.MaxLoadFactor,
 		migrateBatch: cfg.MigrateBatch,
-		seqRead:      mchtable.SeqCapable[K]() && mchtable.SeqCapable[V](),
 		shards:       make([]shard[K, V], shards),
 	}
 	deriver := hashes.NewDeriver(cfg.BucketsPerShard) // shared until a shard resizes
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.core = mchtable.NewCore[K, V](cfg.BucketsPerShard, cfg.SlotsPerBucket, cfg.StashPerShard)
-		if m.seqRead {
-			sh.core.EnableSeq()
-		}
-		sh.deriver.Store(deriver)
+		sh.deriver = deriver
 		sh.scratch = make([]uint32, cfg.D)
 		sh.newScratch = make([]uint32, cfg.D)
 		sh.candsOf = func(tag uint64) []uint32 {
-			sh.deriver.Load().CandidateBins(tag, sh.scratch)
+			sh.deriver.CandidateBins(tag, sh.scratch)
 			return sh.scratch
 		}
 		sh.newCandsOf = func(tag uint64) []uint32 {
-			sh.nextDeriver.Load().CandidateBins(tag, sh.newScratch)
+			sh.nextDeriver.CandidateBins(tag, sh.newScratch)
 			return sh.newScratch
 		}
 	}
@@ -284,7 +217,7 @@ func (m *Map[K, V]) routeDigest(digest uint64) (*shard[K, V], uint64) {
 //repro:requires-lock
 func (m *Map[K, V]) startResizeLocked(sh *shard[K, V]) {
 	newBuckets := 2 * sh.core.Buckets()
-	sh.nextDeriver.Store(hashes.NewDeriver(newBuckets))
+	sh.nextDeriver = hashes.NewDeriver(newBuckets)
 	sh.core.StartResize(newBuckets)
 }
 
@@ -317,8 +250,7 @@ func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 	}
 	moved := sh.core.Migrate(n, sh.newCandsOf)
 	if !sh.core.Resizing() { // promoted: the doubled geometry is current
-		sh.deriver.Store(sh.nextDeriver.Load())
-		sh.nextDeriver.Store(nil)
+		sh.deriver, sh.nextDeriver = sh.nextDeriver, nil
 	}
 	return moved
 }
@@ -360,18 +292,18 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 	if m.maxLoad == 0 {
 		// Fixed geometry: the shared deriver is immutable, so candidate
 		// expansion stays outside the lock (the pre-resize hot path).
-		sh.deriver.Load().CandidateBins(tag, oldCands)
-		sh.lock()
+		sh.deriver.CandidateBins(tag, oldCands)
+		sh.mu.Lock()
 		ok := sh.core.Put(oldCands, key, val, tag)
-		sh.unlock()
+		sh.mu.Unlock()
 		return ok
 	}
-	sh.lock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
+	sh.mu.Lock()
+	sh.deriver.CandidateBins(tag, oldCands)
 	var ok bool
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
+		sh.nextDeriver.CandidateBins(tag, newCands)
 		ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
 	} else {
 		ok = sh.core.Put(oldCands, key, val, tag)
@@ -381,24 +313,18 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 			m.startResizeLocked(sh)
 			if !ok {
 				newCands := newBuf[:m.d]
-				sh.nextDeriver.Load().CandidateBins(tag, newCands)
+				sh.nextDeriver.CandidateBins(tag, newCands)
 				ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
 			}
 		}
 	}
 	m.migrateLocked(sh, m.migrateBatch)
-	sh.unlock()
+	sh.mu.Unlock()
 	return ok
 }
 
-// Get returns the value stored for key. For seq-capable K/V the read is
-// optimistic and lock-free: it probes the shard's published bucket views
-// (both geometries mid-resize, old first) with atomic word reads and
-// validates the shard's seqlock generation around the probe, retrying on
-// writer overlap and falling back to the read lock after seqSpins torn
-// attempts. Readers therefore never block writers and never wait on a
-// lock on the fast path. For pointerful K/V, Get takes the shard's read
-// lock as before; either way a Get never migrates.
+// Get returns the value stored for key. It takes the shard's read lock
+// and never migrates.
 //
 //repro:noalloc
 func (m *Map[K, V]) Get(key K) (V, bool) {
@@ -406,66 +332,11 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 	if mx := m.metrics; mx != nil && tag&sampleMask == 0 {
 		return m.sampledGet(mx, sh, tag, key)
 	}
-	if m.seqRead {
-		if v, ok, done := m.seqGet(sh, tag, key); done {
-			return v, ok
-		}
-		sh.seqFallbacks.Add(1)
-	}
 	return m.lockedGet(sh, tag, key)
 }
 
-// seqGet is the optimistic lock-free read: snapshot the generation,
-// probe wait-free, accept only if the generation never moved. done=false
-// after seqSpins torn attempts sends the caller to the mutex fallback.
-//
-//repro:digestcarried
-//repro:noalloc
-func (m *Map[K, V]) seqGet(sh *shard[K, V], tag uint64, key K) (val V, ok, done bool) {
-	var buf, nbuf [maxD]uint32
-	for spin := 0; spin < seqSpins; spin++ {
-		s := sh.seq.Load()
-		if s&1 != 0 {
-			continue // a mutation is in flight right now
-		}
-		core := sh.core
-		v := core.View()
-		der := sh.deriver.Load()
-		if der.N() != v.Buckets() {
-			continue // deriver and view from different geometries: retry
-		}
-		cands := buf[:m.d]
-		der.CandidateBins(tag, cands)
-		val, ok = core.SeqGet(v, cands, key)
-		if !ok {
-			// Old geometry missed; mid-resize the pair may already have
-			// migrated, so chase the next core exactly like GetDual.
-			if next := core.Next(); next != nil {
-				nder := sh.nextDeriver.Load()
-				nv := next.View()
-				if nder == nil || nder.N() != nv.Buckets() {
-					continue
-				}
-				ncands := nbuf[:m.d]
-				nder.CandidateBins(tag, ncands)
-				val, ok = next.SeqGet(nv, ncands, key)
-			}
-		}
-		if sh.seq.Load() == s {
-			if spin > 0 {
-				sh.seqRetries.Add(uint64(spin))
-			}
-			return val, ok, true
-		}
-	}
-	sh.seqRetries.Add(seqSpins)
-	var zero V
-	return zero, false, false
-}
-
-// lockedGet is the classic read-locked Get — the only read path for
-// pointerful K/V, and the fallback when seqGet keeps colliding with
-// writers.
+// lockedGet is Get from an already routed key: the probe under the
+// shard's read lock, shared by Get and GetBatch.
 //
 //repro:digestcarried
 //repro:noalloc
@@ -473,19 +344,19 @@ func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
 	var oldBuf, newBuf [maxD]uint32
 	oldCands := oldBuf[:m.d]
 	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
+		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
 		sh.mu.RLock()
 		v, ok := sh.core.Get(oldCands, key)
 		sh.mu.RUnlock()
 		return v, ok
 	}
 	sh.mu.RLock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
+	sh.deriver.CandidateBins(tag, oldCands)
 	var v V
 	var ok bool
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
+		sh.nextDeriver.CandidateBins(tag, newCands)
 		v, ok = sh.core.GetDual(oldCands, newCands, key)
 	} else {
 		v, ok = sh.core.Get(oldCands, key)
@@ -505,24 +376,24 @@ func (m *Map[K, V]) Delete(key K) bool {
 	sh, tag := m.route(key)
 	oldCands := oldBuf[:m.d]
 	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.lock()
+		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
+		sh.mu.Lock()
 		ok := sh.core.Delete(oldCands, key, sh.candsOf)
-		sh.unlock()
+		sh.mu.Unlock()
 		return ok
 	}
-	sh.lock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
+	sh.mu.Lock()
+	sh.deriver.CandidateBins(tag, oldCands)
 	var ok bool
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
+		sh.nextDeriver.CandidateBins(tag, newCands)
 		ok = sh.core.DeleteDual(oldCands, newCands, key, sh.newCandsOf)
 	} else {
 		ok = sh.core.Delete(oldCands, key, sh.candsOf)
 	}
 	m.migrateLocked(sh, m.migrateBatch)
-	sh.unlock()
+	sh.mu.Unlock()
 	return ok
 }
 
@@ -546,9 +417,9 @@ func (m *Map[K, V]) MigrateStep(n int) int {
 		if !sh.core.Resizing() {
 			continue
 		}
-		sh.lock()
+		sh.mu.Lock()
 		total += m.migrateLocked(sh, n)
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	return total
 }
@@ -560,41 +431,18 @@ func (m *Map[K, V]) Shards() int { return len(m.shards) }
 func (m *Map[K, V]) D() int { return m.d }
 
 // Len returns the number of stored pairs (including stashed ones). Each
-// shard's count is captured under the seqlock protocol (a validated
-// lock-free read, falling back to the read lock under write churn or for
-// pointerful K/V), so per-shard counts are exact while the cross-shard
-// total remains per-shard-consistent: concurrent writers may move the
-// total while it accumulates.
+// shard's count is read under its read lock, so per-shard counts are
+// exact while the cross-shard total is not one instant: concurrent
+// writers may move the total while it accumulates.
 func (m *Map[K, V]) Len() int {
 	total := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
-		if m.seqRead {
-			if n, ok := m.seqShardLen(sh); ok {
-				total += n
-				continue
-			}
-		}
 		sh.mu.RLock()
 		total += sh.core.Len()
 		sh.mu.RUnlock()
 	}
 	return total
-}
-
-// seqShardLen reads one shard's pair count under seqlock validation.
-func (m *Map[K, V]) seqShardLen(sh *shard[K, V]) (int, bool) {
-	for spin := 0; spin < seqSpins; spin++ {
-		s := sh.seq.Load()
-		if s&1 != 0 {
-			continue
-		}
-		n := sh.core.Len() // atomic size loads across both geometries
-		if sh.seq.Load() == s {
-			return n, true
-		}
-	}
-	return 0, false
 }
 
 // Stats is the common occupancy/overflow snapshot aggregated across
@@ -605,108 +453,32 @@ func (m *Map[K, V]) seqShardLen(sh *shard[K, V]) (int, bool) {
 type Stats = container.Stats
 
 // Stats gathers the snapshot. Each shard's figures — length, capacity,
-// stash depth, resize progress and its bucket-load histogram — are
-// captured under the seqlock protocol: a validated lock-free read of
-// that shard at one instant, even mid-migration (the read-lock fallback
-// covers write churn and pointerful K/V, and is every bit as
-// consistent). The aggregate is therefore per-shard-consistent: each
-// shard's numbers are internally coherent, while shards are snapshotted
-// one after another, so concurrent writers may shift the cross-shard
-// totals as they accumulate — the inherent limit of a lock-per-shard
-// design, now with torn *within-shard* views (the old sequential-RLock
-// reader could see one geometry's buckets but not yet its stash)
-// engineered away.
+// stash depth, resize progress and its bucket-load histogram — are read
+// under that shard's read lock, so they describe one instant even
+// mid-migration. Shards are read one after another, so concurrent
+// writers may shift the cross-shard totals as they accumulate.
 func (m *Map[K, V]) Stats() Stats {
 	st := Stats{Shards: len(m.shards)}
-	var snap shardSnap
 	for i := range m.shards {
 		sh := &m.shards[i]
-		// Monotone health counters, read directly: they are not part of
-		// the shard's seqlock-protected geometry snapshot.
-		st.SeqRetries += int64(sh.seqRetries.Load())
-		st.SeqFallbacks += int64(sh.seqFallbacks.Load())
-		m.shardStats(sh, &snap)
-		st.Len += snap.len
-		st.Capacity += snap.capacity
-		st.Stashed += snap.stashed
-		st.Resizes += snap.resizes
-		st.Migrating += snap.migrating
-		for load, buckets := range snap.loads {
-			st.BucketLoads.AddN(load, buckets)
+		sh.mu.RLock()
+		n := sh.core.Len()
+		st.Len += n
+		st.Capacity += sh.core.Capacity()
+		st.Stashed += sh.core.StashLen()
+		st.Resizes += sh.core.Resizes()
+		st.Migrating += sh.core.Pending()
+		sh.core.AddBucketLoads(&st.BucketLoads)
+		sh.mu.RUnlock()
+		if i == 0 || n < st.MinShardLen {
+			st.MinShardLen = n
 		}
-		if i == 0 || snap.len < st.MinShardLen {
-			st.MinShardLen = snap.len
-		}
-		if snap.len > st.MaxShardLen {
-			st.MaxShardLen = snap.len
+		if n > st.MaxShardLen {
+			st.MaxShardLen = n
 		}
 	}
 	if st.Capacity > 0 {
 		st.Occupancy = float64(st.Len) / float64(st.Capacity)
 	}
 	return st
-}
-
-// shardSnap is one shard's consistent Stats contribution; loads[l] holds
-// the number of buckets (across both geometries mid-resize) with l
-// occupied slots. The buffer is reused across shards.
-type shardSnap struct {
-	len, capacity, stashed, resizes, migrating int
-	loads                                      []int64
-}
-
-// shardStats captures one shard's snapshot into snap, preferring the
-// validated seqlock read and falling back to the read lock.
-func (m *Map[K, V]) shardStats(sh *shard[K, V], snap *shardSnap) {
-	if m.seqRead {
-		for spin := 0; spin < seqSpins; spin++ {
-			s := sh.seq.Load()
-			if s&1 != 0 {
-				continue
-			}
-			core := sh.core
-			v := core.View()
-			snap.reset(v.Slots())
-			snap.len = core.Len()
-			snap.stashed = core.StashLen()
-			snap.resizes = core.Resizes()
-			snap.migrating = core.Pending()
-			snap.capacity = v.Buckets() * v.Slots()
-			v.AddLoads(snap.loads)
-			if next := core.Next(); next != nil {
-				nv := next.View()
-				snap.capacity += nv.Buckets() * nv.Slots()
-				nv.AddLoads(snap.loads)
-			}
-			if sh.seq.Load() == s {
-				return
-			}
-		}
-	}
-	sh.mu.RLock()
-	snap.reset(sh.core.SlotsPerBucket())
-	snap.len = sh.core.Len()
-	snap.capacity = sh.core.Capacity()
-	snap.stashed = sh.core.StashLen()
-	snap.resizes = sh.core.Resizes()
-	snap.migrating = sh.core.Pending()
-	var h container.Stats
-	sh.core.AddBucketLoads(&h.BucketLoads)
-	for load := 0; load <= h.BucketLoads.MaxValue() && load < len(snap.loads); load++ {
-		snap.loads[load] += h.BucketLoads.Count(load)
-	}
-	sh.mu.RUnlock()
-}
-
-// reset clears the snapshot for a geometry with the given slots per
-// bucket (loads needs slots+1 entries: loads 0..slots).
-func (s *shardSnap) reset(slots int) {
-	s.len, s.capacity, s.stashed, s.resizes, s.migrating = 0, 0, 0, 0, 0
-	if cap(s.loads) < slots+1 {
-		s.loads = make([]int64, slots+1)
-	}
-	s.loads = s.loads[:slots+1]
-	for i := range s.loads {
-		s.loads[i] = 0
-	}
 }

@@ -63,12 +63,10 @@ func (m *Map[K, V]) SetMetrics(mx *Metrics) { m.metrics = mx }
 func (m *Map[K, V]) Metrics() *Metrics { return m.metrics }
 
 // sampledGet is the timed Get variant the sampler routes 1-in-64
-// lookups through. It resolves under the read lock via the
-// depth-reporting probes, so a single operation yields both the
-// latency and the probe-depth observation; the measured latency
-// therefore includes read-lock acquisition, which the unsampled seq
-// path avoids — a deliberate trade that keeps the depth probe off the
-// 63-in-64 fast path entirely.
+// lookups through. It resolves via the depth-reporting probes, so a
+// single operation yields both the latency and the probe-depth
+// observation, while the 63-in-64 unsampled Gets skip the depth
+// bookkeeping entirely.
 //
 //repro:digestcarried
 //repro:noalloc
@@ -91,14 +89,14 @@ func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, 
 	var oldBuf, newBuf [maxD]uint32
 	oldCands := oldBuf[:m.d]
 	if m.maxLoad == 0 {
-		sh.deriver.Load().CandidateBins(tag, oldCands) // immutable geometry: no lock needed
+		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
 		sh.mu.RLock()
 		v, depth, ok := sh.core.GetDepth(oldCands, key)
 		sh.mu.RUnlock()
 		return v, depth, ok
 	}
 	sh.mu.RLock()
-	sh.deriver.Load().CandidateBins(tag, oldCands)
+	sh.deriver.CandidateBins(tag, oldCands)
 	var (
 		v     V
 		depth int
@@ -106,7 +104,7 @@ func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, 
 	)
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
-		sh.nextDeriver.Load().CandidateBins(tag, newCands)
+		sh.nextDeriver.CandidateBins(tag, newCands)
 		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key)
 	} else {
 		v, depth, ok = sh.core.GetDepth(oldCands, key)

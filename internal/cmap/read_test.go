@@ -1,9 +1,8 @@
 package cmap
 
-// Tests for the seqlock read path: mode gating, torn-read safety under
-// concurrent resize (the case the race detector must bless), batched
-// lookups mid-migration, and the consistency of the lock-free Stats
-// snapshot.
+// Tests for the read path: exact reads under concurrent resize (the
+// case the race detector must bless), batched lookups mid-migration, and
+// the consistency of the Stats snapshot.
 
 import (
 	"fmt"
@@ -15,36 +14,16 @@ import (
 	"repro/internal/rng"
 )
 
-// TestSeqReadGating pins which key/value shapes get the lock-free read
-// path: pointer-free types whose size tiles into 32-bit words do,
-// pointerful ones (strings, slices) never do — raw word stores would
-// bypass the collector's write barriers.
-func TestSeqReadGating(t *testing.T) {
-	cfg := Config{Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 2, Seed: 1}
-	if m := New(cfg); !m.seqRead {
-		t.Error("uint64 → uint64 map did not enable seqlock reads")
-	}
-	if m := NewKeyed[fiveTuple, uint64](keyed.ForType[fiveTuple](), cfg); !m.seqRead {
-		t.Error("fiveTuple-keyed map (pointer-free, 16 bytes) did not enable seqlock reads")
-	}
-	if m := NewKeyed[string, uint64](keyed.ForType[string](), cfg); m.seqRead {
-		t.Error("string-keyed map enabled seqlock reads; strings carry a pointer")
-	}
-	if m := NewKeyed[uint64, []byte](keyed.ForType[uint64](), cfg); m.seqRead {
-		t.Error("[]byte-valued map enabled seqlock reads; slices carry a pointer")
-	}
-}
-
-// TestSeqlockStableReadsDuringResize is the torn-read hunt: a set of
-// stable keys is written once, then writer goroutines churn a disjoint
-// key range hard enough to drive repeated resizes (MigrateBatch 1 keeps
+// TestStableReadsDuringResize is the torn-read hunt: a set of stable
+// keys is written once, then writer goroutines churn a disjoint key
+// range hard enough to drive repeated resizes (MigrateBatch 1 keeps
 // every shard mid-migration almost continuously, maximizing the window
 // where Gets probe two geometries), while reader goroutines hammer the
 // stable keys through both Get and GetBatch and require exact values
-// every time. A torn read that escaped generation validation shows up as
-// a wrong value or a false miss; under -race, any non-atomic
-// writer/reader overlap shows up as a report.
-func TestSeqlockStableReadsDuringResize(t *testing.T) {
+// every time. A read that saw a half-finished mutation or promotion
+// shows up as a wrong value or a false miss; under -race, any
+// unsynchronized writer/reader overlap shows up as a report.
+func TestStableReadsDuringResize(t *testing.T) {
 	const (
 		stableKeys = 1 << 10
 		writers    = 2
@@ -55,9 +34,6 @@ func TestSeqlockStableReadsDuringResize(t *testing.T) {
 		Shards: 2, BucketsPerShard: 16, SlotsPerBucket: 2, D: 3, Seed: 7,
 		StashPerShard: 16, MaxLoadFactor: 0.6, MigrateBatch: 1,
 	})
-	if !m.seqRead {
-		t.Fatal("uint64 map must run the seqlock read path")
-	}
 	for k := uint64(1); k <= stableKeys; k++ {
 		// MigrateBatch 1 lets the fill outrun migration; a rejection just
 		// means the in-flight doubling needs draining before the next one
@@ -131,95 +107,6 @@ func TestSeqlockStableReadsDuringResize(t *testing.T) {
 	}
 }
 
-// TestSeqSteadyStateNoFallbacks pins the seqlock health counters'
-// steady-state contract: with no writer in flight, every optimistic
-// read must succeed on its first attempt — zero retries, zero mutex
-// fallbacks — no matter how many readers hammer the map concurrently.
-// Any nonzero count here means the read path is paying for writer
-// exclusion it does not need.
-func TestSeqSteadyStateNoFallbacks(t *testing.T) {
-	m := New(Config{
-		Shards: 4, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 5,
-		MaxLoadFactor: 0.9,
-	})
-	const n = 5000
-	for k := uint64(1); k <= n; k++ {
-		m.Put(k, k*7)
-	}
-	for m.MigrateStep(256) > 0 {
-	}
-
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			src := rng.NewXoshiro256(uint64(r+1) * 0xA076_1D64_78BD_642F)
-			batch := make([]uint64, 32)
-			vals := make([]uint64, len(batch))
-			found := make([]bool, len(batch))
-			for i := 0; i < 5000; i++ {
-				k := 1 + src.Uint64()%n
-				if v, ok := m.Get(k); !ok || v != k*7 {
-					t.Errorf("Get(%d) = (%d, %v)", k, v, ok)
-					return
-				}
-				if i%16 == 0 {
-					for j := range batch {
-						batch[j] = 1 + src.Uint64()%n
-					}
-					m.GetBatch(batch, vals, found)
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-
-	st := m.Stats()
-	if st.SeqRetries != 0 || st.SeqFallbacks != 0 {
-		t.Errorf("steady-state reads retried %d times and fell back %d times; want 0/0",
-			st.SeqRetries, st.SeqFallbacks)
-	}
-}
-
-// TestSeqCountersCountFallbacks proves the counters actually count: a
-// shard whose generation is parked odd (a stalled writer, simulated)
-// forces Get to spin out its budget and take the lock, and forces
-// GetBatch to route that shard's keys through the per-key fallback.
-func TestSeqCountersCountFallbacks(t *testing.T) {
-	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 2, Seed: 13})
-	m.Put(42, 99)
-	sh, _ := m.route(42)
-
-	sh.seq.Add(1) // park the generation odd: every optimistic attempt aborts
-	if v, ok := m.Get(42); !ok || v != 99 {
-		t.Fatalf("Get under a parked generation = (%d, %v), want (99, true)", v, ok)
-	}
-	vals := make([]uint64, 1)
-	found := make([]bool, 1)
-	if n := m.GetBatch([]uint64{42}, vals, found); n != 1 || vals[0] != 99 {
-		t.Fatalf("GetBatch under a parked generation = %d hits, vals %v", n, vals)
-	}
-	sh.seq.Add(1) // release
-
-	st := m.Stats()
-	if st.SeqRetries != seqSpins {
-		t.Errorf("SeqRetries = %d, want %d (one Get spinning out its budget)", st.SeqRetries, seqSpins)
-	}
-	if st.SeqFallbacks != 2 {
-		t.Errorf("SeqFallbacks = %d, want 2 (one Get, one GetBatch key)", st.SeqFallbacks)
-	}
-
-	// Released: reads go back to the fast path and the counters freeze.
-	if v, ok := m.Get(42); !ok || v != 99 {
-		t.Fatalf("Get after release = (%d, %v)", v, ok)
-	}
-	if st2 := m.Stats(); st2.SeqRetries != st.SeqRetries || st2.SeqFallbacks != st.SeqFallbacks {
-		t.Errorf("counters moved on a clean read: %d/%d -> %d/%d",
-			st.SeqRetries, st.SeqFallbacks, st2.SeqRetries, st2.SeqFallbacks)
-	}
-}
-
 // TestGetBatchMidMigration pins batched lookups against a map whose
 // every shard has a nearly untouched resize backlog: each key must
 // resolve whether it still lives in the old geometry or has already
@@ -270,7 +157,7 @@ func TestGetBatchMidMigration(t *testing.T) {
 
 // TestMGet covers the allocating wrapper and GetBatch edge shapes:
 // duplicate keys in one batch, empty batches, chunk-boundary lengths,
-// and the locked path (string keys) through the same interface.
+// and a pointerful key type (string) through the same interface.
 func TestMGet(t *testing.T) {
 	m := New(Config{Shards: 2, BucketsPerShard: 64, SlotsPerBucket: 4, D: 3, Seed: 3})
 	for k := uint64(1); k <= 100; k++ {
@@ -321,15 +208,14 @@ func TestMGet(t *testing.T) {
 	m.GetBatch([]uint64{1, 2, 3}, make([]uint64, 2), make([]bool, 3))
 }
 
-// TestStatsSeqConsistency checks the lock-free Stats snapshot two ways.
-// Quiesced, it must be exact: Len matches, capacity matches the settled
-// geometry, and the bucket-load histogram accounts for every bucket and
-// every non-stashed pair. Under write churn with resizes in flight, each
-// call must still return an internally plausible snapshot — the
-// per-shard histogram totals must equal the per-shard bucket counts
-// implied by the capacities seen in the same pass (the old torn-read
-// Stats could mix one geometry's buckets with another's stash).
-func TestStatsSeqConsistency(t *testing.T) {
+// TestStatsConsistency checks the Stats snapshot two ways. Quiesced, it
+// must be exact: Len matches, capacity matches the settled geometry, and
+// the bucket-load histogram accounts for every bucket and every
+// non-stashed pair. Under write churn with resizes in flight, each call
+// must still return an internally plausible snapshot — the histogram
+// must cover exactly the buckets implied by the capacity seen in the
+// same pass, which fails if a shard's figures mix two geometries.
+func TestStatsConsistency(t *testing.T) {
 	m := New(Config{
 		Shards: 4, BucketsPerShard: 32, SlotsPerBucket: 2, D: 3, Seed: 11,
 		StashPerShard: 16, MaxLoadFactor: 0.7, MigrateBatch: 4,

@@ -26,15 +26,6 @@ type Stats struct {
 	Resizes     int        // completed online resizes
 	Migrating   int        // entries still awaiting migration in resizing shards
 	BucketLoads stats.Hist // occupied-slots-per-bucket histogram (slot occupancy for 1-slot tables)
-
-	// Seqlock read-path health (zero for tables without an optimistic
-	// read path): cumulative torn/overlapped optimistic read attempts
-	// that were retried, and reads that exhausted their spin budget (or
-	// snapshotted mid-mutation in a batch) and fell back to the shard
-	// lock. A nonzero fallback rate under a read-mostly workload means
-	// writers are starving the lock-free path.
-	SeqRetries   int64
-	SeqFallbacks int64
 }
 
 // Container is the shared typed key-value store contract.

@@ -224,9 +224,7 @@ func ForType[K comparable]() Hasher[K] {
 // evaluation each — filling dst[i] with keys[i]'s digest. dst must hold
 // at least len(keys) entries. Hoisting a whole batch's digests into one
 // tight loop is the first phase of the batched lookup path
-// (cmap.Map.GetBatch): with every digest in hand, shard routing,
-// candidate derivation and bucket prefetching can each run as their own
-// phase over the batch instead of interleaving with probes key by key.
+// (cmap.Map.GetBatch), which then routes and probes key by key.
 //
 //repro:noalloc
 func DigestBatch[K comparable](h Hasher[K], key hashes.SipKey, keys []K, dst []uint64) {

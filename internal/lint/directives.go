@@ -9,9 +9,8 @@ package lint
 // annotates:
 //
 //   - in a file's package doc, or above the package clause: the file
-//     (e.g. //repro:unsafeview, file-wide //repro:seqguarded);
+//     (e.g. //repro:unsafeview);
 //   - in a function's doc comment: that function;
-//   - in a struct type's doc comment: every field of the struct;
 //   - in a field's doc or trailing comment: that field;
 //   - anywhere else, for the suppression directives //repro:allocok and
 //     //repro:rehash-ok: the comment's own source line and the next one
@@ -28,9 +27,6 @@ import (
 
 // Directive names understood by the suite.
 const (
-	DirSeqGuarded  = "seqguarded"    // field/struct/file: access only via sync/atomic
-	DirSeqAccessor = "seqaccessor"   // func: blessed atomic accessor for seqguarded words
-	DirSeqExempt   = "seqexempt"     // func: pre-publication construction, plain access OK
 	DirNoAlloc     = "noalloc"       // func: no allocating constructs
 	DirAllocOK     = "allocok"       // line: suppress one noalloc finding (reason required)
 	DirUnsafeView  = "unsafeview"    // file: unsafe byte views allowed here (reason required)
@@ -59,7 +55,6 @@ type Directive struct {
 type Directives struct {
 	files  map[*ast.File][]Directive
 	funcs  map[*ast.FuncDecl][]Directive
-	types  map[*ast.TypeSpec][]Directive
 	fields map[*ast.Field][]Directive
 	// lines[filename][line] holds suppression directives whose comment
 	// covers that source line.
@@ -71,7 +66,6 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
 		files:  make(map[*ast.File][]Directive),
 		funcs:  make(map[*ast.FuncDecl][]Directive),
-		types:  make(map[*ast.TypeSpec][]Directive),
 		fields: make(map[*ast.Field][]Directive),
 		lines:  make(map[string]map[int][]Directive),
 	}
@@ -89,16 +83,14 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 			case *ast.FuncDecl:
 				d.funcs[decl] = groupDirectives(decl.Doc)
 			case *ast.GenDecl:
-				declDirs := groupDirectives(decl.Doc)
 				for _, spec := range decl.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
 					}
-					d.types[ts] = append(groupDirectives(ts.Doc), declDirs...)
 					// Struct fields and interface methods both annotate
-					// per-field: //repro:seqguarded words, //repro:lockclass
-					// mutexes, //repro:durable walFile operations.
+					// per-field: //repro:lockclass mutexes, //repro:durable
+					// walFile operations.
 					var fields *ast.FieldList
 					switch t := ts.Type.(type) {
 					case *ast.StructType:
@@ -189,9 +181,6 @@ func find(dirs []Directive, name string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// FileHas reports whether f carries a file-level directive name.
-func (d *Directives) FileHas(f *ast.File, name string) bool { return has(d.files[f], name) }
-
 // File returns f's file-level directive name, if present.
 func (d *Directives) File(f *ast.File, name string) (Directive, bool) {
 	return find(d.files[f], name)
@@ -204,9 +193,6 @@ func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool { return has(d.
 func (d *Directives) Func(fn *ast.FuncDecl, name string) (Directive, bool) {
 	return find(d.funcs[fn], name)
 }
-
-// TypeHas reports whether the type declaration carries directive name.
-func (d *Directives) TypeHas(ts *ast.TypeSpec, name string) bool { return has(d.types[ts], name) }
 
 // FieldHas reports whether the struct field carries directive name.
 func (d *Directives) FieldHas(f *ast.Field, name string) bool { return has(d.fields[f], name) }

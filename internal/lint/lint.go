@@ -1,18 +1,13 @@
 // Package lint is reprolint: a suite of static analyzers that enforce
 // the library's hot-path invariants mechanically — the contracts that
-// the seqlock read path, the zero-allocation pins, the unsafe byte
-// views and the digest-carried re-placement paths otherwise state only
-// in comments and runtime tests.
+// the zero-allocation pins, the unsafe byte views, the digest-carried
+// re-placement paths, the WAL's durability ordering and the lock ranks
+// otherwise state only in comments and runtime tests.
 //
 // Each invariant is declared in the source with a //repro:* directive
 // (see ANNOTATIONS.md at the repository root) and checked by one
 // analyzer:
 //
-//   - seqatomic: //repro:seqguarded fields may only be accessed through
-//     sync/atomic (or a //repro:seqaccessor helper). The race detector
-//     cannot see these bugs: a seqlock reader's torn plain load is
-//     rejected by the generation check, so it never misbehaves under
-//     -race — it is still undefined behaviour under the Go memory model.
 //   - noalloc: //repro:noalloc functions contain no allocating
 //     constructs (the static backstop behind the AllocsPerRun pins).
 //   - unsafeview: unsafe.Pointer views appear only in files annotated
@@ -56,7 +51,7 @@ import (
 // Analyzer is one named invariant check, run over a type-checked
 // package.
 type Analyzer struct {
-	Name string // short lowercase identifier, e.g. "seqatomic"
+	Name string // short lowercase identifier, e.g. "noalloc"
 	Doc  string // one-line description of the invariant enforced
 	Run  func(*Pass) error
 }
@@ -225,5 +220,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Analyzers returns the full reprolint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SeqAtomic, NoAlloc, UnsafeView, DigestFlow, LockHeld, FsyncOrder, BoundedInput, LockOrder}
+	return []*Analyzer{NoAlloc, UnsafeView, DigestFlow, LockHeld, FsyncOrder, BoundedInput, LockOrder}
 }

@@ -16,7 +16,6 @@ func TestAnalyzers(t *testing.T) {
 		analyzer *lint.Analyzer
 		dir      string
 	}{
-		{lint.SeqAtomic, "seqatomic"},
 		{lint.NoAlloc, "noalloc"},
 		{lint.UnsafeView, "unsafeview"},
 		{lint.DigestFlow, "digestflow"},

@@ -5,7 +5,7 @@
 //
 // A want comment annotates the line it appears on:
 //
-//	x := v.words[i] // want `plain access to seqguarded field`
+//	m := make([]byte, n) // want `make allocates`
 //
 // Each backquoted (or double-quoted) string is a regexp that must match
 // the message of exactly one diagnostic reported on that line by the

@@ -13,7 +13,7 @@ package lint
 //     lock is held on entry by some non-lexical means (a callback
 //     invoked under the lock, a single-goroutine constructor);
 //   - the call is lexically preceded, in the caller's body, by a call
-//     of a method named lock, Lock, or RLock (the acquire dominates the
+//     of a method named Lock or RLock (the acquire dominates the
 //     call in the straight-line shapes the library uses).
 //
 // The check is intra-package and lexical, not a dataflow analysis: it
@@ -69,9 +69,9 @@ func runLockHeld(p *Pass) error {
 	return nil
 }
 
-// lockMethodNames are the acquire spellings the library uses: the
-// shard's unexported seq-bumping lock(), and sync.Mutex/RWMutex.
-var lockMethodNames = map[string]bool{"lock": true, "Lock": true, "RLock": true}
+// lockMethodNames are the acquire spellings the library uses:
+// sync.Mutex/RWMutex.
+var lockMethodNames = map[string]bool{"Lock": true, "RLock": true}
 
 // acquireBefore reports whether fd's body contains a lock-acquire call
 // lexically before pos.

@@ -16,7 +16,7 @@ package lint
 // the repository's idioms:
 //
 //   - x.mu.Lock()/RLock()/Unlock()/RUnlock() on an annotated field;
-//   - sh.lock()/sh.unlock() seqlock wrappers: a method named
+//   - x.lock()/x.unlock() wrapper methods: a method named
 //     lock/unlock/rlock/runlock on a type with exactly one annotated
 //     mutex field acquires/releases that field's class;
 //   - st := s.stripe(k); st.Lock(): a local assigned from a //repro:lockclass

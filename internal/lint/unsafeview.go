@@ -2,11 +2,10 @@ package lint
 
 // unsafeview: the library's unsafe.Pointer uses are all byte views — a
 // hasher viewing a struct's bytes in place, a codec copying through
-// them, the seqlock protocol's word-granular stores. Each is sound only
-// behind a type-level gate that proved the viewed type pointer-free
-// (and, for the seq protocol, word-tiling): BytesOf's byteIdentity,
-// ViewCodec's noIndirection, EnableSeq's SeqCapable. This analyzer pins
-// that shape mechanically:
+// them, a batched lookup touching the first word of a slot. Each is
+// sound only behind a gate that proved the viewed layout: BytesOf's
+// byteIdentity, ViewCodec's noIndirection, the prefetch's alignment
+// checks. This analyzer pins that shape mechanically:
 //
 //   - every use of unsafe.Pointer / Add / Slice / String / SliceData /
 //     StringData must sit in a file annotated //repro:unsafeview
@@ -16,8 +15,8 @@ package lint
 //     dominated by a gate: either it calls a //repro:unsafegate
 //     function before its first unsafe use, or it carries
 //     //repro:gated <reason> declaring where the gate ran (a
-//     construction-time check such as EnableSeq, or a reflect.Kind
-//     switch arm that proved the layout).
+//     construction-time check, or a reflect.Kind switch arm that
+//     proved the layout).
 
 import (
 	"go/ast"

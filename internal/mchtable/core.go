@@ -2,6 +2,7 @@ package mchtable
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -14,16 +15,6 @@ type stashEntry[K comparable, V any] struct {
 	key K
 	val V
 	tag uint64
-}
-
-// stashBlock is the stash storage cell: a fixed backing array plus the
-// atomic live count. The arr slice header is immutable once the block is
-// published through Core.stash — growth builds a bigger block off to the
-// side and swaps the pointer — so seq-mode readers can walk arr[:n]
-// without a header tear, and n never exceeds len(arr) of the same block.
-type stashBlock[K comparable, V any] struct {
-	n   atomic.Int32
-	arr []stashEntry[K, V]
 }
 
 // Core is the bucket/stash placement engine of the multiple-choice hash
@@ -53,45 +44,30 @@ type stashBlock[K comparable, V any] struct {
 // The stash is insertion-ordered so that drain and migration order — and
 // therefore placement — is fully deterministic for a fixed op sequence.
 //
-// Mutating a Core still requires external exclusion (internal/cmap wraps
-// each shard's core in a lock). What changed for the seqlock read path is
-// the *read* side: with EnableSeq, every reader-visible word is written
-// with sync/atomic stores, a SeqView of the bucket arrays is published
-// through an atomic pointer, and SeqGet can probe concurrently with a
-// writer — no lock, no fault — as long as the caller validates a seqlock
-// generation counter around the probe (see internal/cmap).
+// Concurrent readers may share a Core, but every mutation needs exclusion
+// from all other access (internal/cmap wraps each shard's core in an
+// RWMutex).
 type Core[K comparable, V any] struct {
 	buckets        int
 	slotsPerBucket int
 	stashCap       int
 	keys           []K
 	vals           []V
-	tags           []uint64 // writer-only: seq readers never consult tags
-	used           []uint32 // 1 = occupied; word-sized so seq-mode stores are atomic
+	tags           []uint64
+	used           []uint32 // 1 = occupied
 	counts         []uint32 // occupied slots per bucket
-	stash          atomic.Pointer[stashBlock[K, V]]
-	size           atomic.Int64
-
-	// seqMode routes every mutation of reader-visible words (slot
-	// payloads, used flags, counts, stash entries) through sync/atomic
-	// stores so lock-free seqlock readers are data-race-free. It is only
-	// enabled for pointer-free K/V whose size tiles into 32-bit words
-	// (SeqCapable); pointerful types keep plain stores — and their
-	// readers keep the mutex — because raw word stores would bypass the
-	// garbage collector's write barriers.
-	seqMode bool
-	// view is the published read snapshot of this geometry's bucket
-	// arrays. Its slice headers are immutable once stored; only NewCore
-	// and promotion publish a new one.
-	view atomic.Pointer[SeqView[K, V]]
+	stash          []stashEntry[K, V]
+	size           int
 
 	// Resize state. next is the doubled-geometry table entries migrate
-	// into; nil when no resize is in flight. Buckets [0, cursor) of the
-	// old geometry have been drained by Migrate. resizes counts completed
+	// into; nil when no resize is in flight. It is atomic so a caller
+	// can peek at Resizing without taking its lock (cmap's MigrateStep
+	// skips idle shards that way). Buckets [0, cursor) of the old
+	// geometry have been drained by Migrate. resizes counts completed
 	// promotions (it survives promotion).
 	next    atomic.Pointer[Core[K, V]]
 	cursor  int
-	resizes atomic.Int64
+	resizes int
 }
 
 // NewCore returns an empty placement core. It panics on invalid shape.
@@ -106,7 +82,7 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 		panic(fmt.Sprintf("mchtable: StashSize = %d", stashCap))
 	}
 	total := buckets * slotsPerBucket
-	c := &Core[K, V]{
+	return &Core[K, V]{
 		buckets:        buckets,
 		slotsPerBucket: slotsPerBucket,
 		stashCap:       stashCap,
@@ -116,28 +92,6 @@ func NewCore[K comparable, V any](buckets, slotsPerBucket, stashCap int) *Core[K
 		used:           make([]uint32, total),
 		counts:         make([]uint32, buckets),
 	}
-	c.stash.Store(&stashBlock[K, V]{})
-	c.view.Store(&SeqView[K, V]{
-		buckets: buckets,
-		slots:   slotsPerBucket,
-		keys:    c.keys,
-		vals:    c.vals,
-		used:    c.used,
-		counts:  c.counts,
-	})
-	return c
-}
-
-// EnableSeq switches the core into seq mode: every subsequent mutation of
-// reader-visible words goes through sync/atomic stores, making SeqGet
-// safe to run with no lock held. It must be called before the first
-// concurrent reader exists (internal/cmap calls it at construction) and
-// panics if K or V is not SeqCapable.
-func (c *Core[K, V]) EnableSeq() {
-	if !SeqCapable[K]() || !SeqCapable[V]() {
-		panic("mchtable: EnableSeq requires pointer-free, word-tiling key and value types")
-	}
-	c.seqMode = true
 }
 
 // Buckets returns the number of buckets in the current (old) geometry.
@@ -165,18 +119,11 @@ func (c *Core[K, V]) findInBucket(key K, b int) int {
 	return -1
 }
 
-// stashLive returns the live stash entries for writer-side iteration
-// (plain reads; the caller holds the writer's exclusion).
-func (c *Core[K, V]) stashLive() []stashEntry[K, V] {
-	blk := c.stash.Load()
-	return blk.arr[:blk.n.Load()]
-}
-
 // stashFind returns the stash index of key, or -1.
 //
 //repro:noalloc
 func (c *Core[K, V]) stashFind(key K) int {
-	for i, e := range c.stashLive() {
+	for i, e := range c.stash {
 		if e.key == key {
 			return i
 		}
@@ -184,55 +131,12 @@ func (c *Core[K, V]) stashFind(key K) int {
 	return -1
 }
 
-// stashAppend adds e to the stash, growing the backing block by
-// replacement (build bigger, copy, publish) so the published block's
-// array header never mutates under a seq reader.
-//
-//repro:noalloc
-func (c *Core[K, V]) stashAppend(e stashEntry[K, V]) {
-	blk := c.stash.Load()
-	n := int(blk.n.Load())
-	if n == len(blk.arr) {
-		grown := &stashBlock[K, V]{arr: make([]stashEntry[K, V], max(8, 2*len(blk.arr)))} //repro:allocok growth path: the stash block doubles by replacement, amortized over inserts
-		copy(grown.arr, blk.arr[:n])
-		grown.arr[n] = e
-		grown.n.Store(int32(n + 1))
-		c.stash.Store(grown)
-		return
-	}
-	c.setStashEntry(&blk.arr[n], e)
-	blk.n.Store(int32(n + 1))
-}
-
 // stashRemove deletes stash entry i, preserving the order of the rest so
 // drains stay insertion-ordered (and deterministic).
 //
 //repro:noalloc
 func (c *Core[K, V]) stashRemove(i int) {
-	blk := c.stash.Load()
-	n := int(blk.n.Load())
-	for j := i; j < n-1; j++ {
-		c.setStashEntry(&blk.arr[j], blk.arr[j+1])
-	}
-	blk.n.Store(int32(n - 1))
-	if !c.seqMode {
-		blk.arr[n-1] = stashEntry[K, V]{} // release pointers held by the dead entry
-	}
-}
-
-// stashPopBack removes and returns the newest stash entry (Migrate's
-// deterministic O(1) drain order).
-//
-//repro:noalloc
-func (c *Core[K, V]) stashPopBack() stashEntry[K, V] {
-	blk := c.stash.Load()
-	n := int(blk.n.Load())
-	e := blk.arr[n-1]
-	blk.n.Store(int32(n - 1))
-	if !c.seqMode {
-		blk.arr[n-1] = stashEntry[K, V]{}
-	}
-	return e
+	c.stash = slices.Delete(c.stash, i, i+1) // zeroes the vacated tail entry, releasing its pointers
 }
 
 // storeInBucket places the pair in a free slot of bucket b, which the
@@ -243,15 +147,11 @@ func (c *Core[K, V]) storeInBucket(b int, key K, val V, tag uint64) {
 	for s := 0; s < c.slotsPerBucket; s++ {
 		idx := c.slot(b, s)
 		if c.used[idx] == 0 {
-			// Payload before the used flag: a concurrent seq reader that
-			// observes used=1 then reads a half-written pair still retries
-			// (its generation check fails), but ordering this way keeps
-			// such windows rare.
-			c.setKey(&c.keys[idx], key)
-			c.setVal(&c.vals[idx], val)
+			c.keys[idx] = key
+			c.vals[idx] = val
 			c.tags[idx] = tag
-			c.setUsed(idx, 1)
-			c.setCount(b, c.counts[b]+1)
+			c.used[idx] = 1
+			c.counts[b]++
 			return
 		}
 	}
@@ -281,12 +181,12 @@ func (c *Core[K, V]) put(cands []uint32, key K, val V, tag uint64, capped bool) 
 	// Update in place, wherever the key already lives.
 	for _, b := range cands {
 		if idx := c.findInBucket(key, int(b)); idx >= 0 {
-			c.setVal(&c.vals[idx], val)
+			c.vals[idx] = val
 			return true
 		}
 	}
 	if i := c.stashFind(key); i >= 0 {
-		c.setVal(&c.stash.Load().arr[i].val, val)
+		c.stash[i].val = val
 		return true
 	}
 	// Place in the least-loaded candidate bucket, ties to the first —
@@ -294,13 +194,13 @@ func (c *Core[K, V]) put(cands []uint32, key K, val V, tag uint64, capped bool) 
 	// selection.
 	if best, count := engine.LeastLoadedFirst(c.counts, cands); int(count) < c.slotsPerBucket {
 		c.storeInBucket(int(best), key, val, tag)
-		c.size.Add(1)
+		c.size++
 		return true
 	}
 	// All candidates full: stash.
-	if !capped || int(c.stash.Load().n.Load()) < c.stashCap {
-		c.stashAppend(stashEntry[K, V]{key: key, val: val, tag: tag})
-		c.size.Add(1)
+	if !capped || len(c.stash) < c.stashCap {
+		c.stash = append(c.stash, stashEntry[K, V]{key: key, val: val, tag: tag}) //repro:allocok growth path: the stash doubles by append, amortized over inserts
+		c.size++
 		return true
 	}
 	return false
@@ -317,7 +217,7 @@ func (c *Core[K, V]) Get(cands []uint32, key K) (V, bool) {
 		}
 	}
 	if i := c.stashFind(key); i >= 0 {
-		return c.stash.Load().arr[i].val, true
+		return c.stash[i].val, true
 	}
 	var zero V
 	return zero, false
@@ -337,7 +237,7 @@ func (c *Core[K, V]) GetDepth(cands []uint32, key K) (V, int, bool) {
 		}
 	}
 	if i := c.stashFind(key); i >= 0 {
-		return c.stash.Load().arr[i].val, len(cands), true
+		return c.stash[i].val, len(cands), true
 	}
 	var zero V
 	return zero, -1, false
@@ -376,10 +276,9 @@ func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found [
 	if d <= 0 || len(cands) < len(keys)*d || len(vals) < len(keys) || len(found) < len(keys) {
 		panic("mchtable: GetBatch slice shapes do not cover the key batch")
 	}
-	v := c.view.Load()
 	var sum uint32
 	for i := range keys {
-		sum += v.Prefetch(cands[i*d : (i+1)*d])
+		sum += c.prefetch(cands[i*d : (i+1)*d])
 	}
 	keepAlive32(sum)
 	n := 0
@@ -411,29 +310,25 @@ func (c *Core[K, V]) Delete(cands []uint32, key K, candsOf func(tag uint64) []ui
 	}
 	if i := c.stashFind(key); i >= 0 {
 		c.stashRemove(i)
-		c.size.Add(-1)
+		c.size--
 		return true
 	}
 	return false
 }
 
-// clearSlot frees flat slot idx of bucket b. Outside seq mode the stored
-// pair is zeroed so no dead key or value (which may hold pointers for
-// generic V) stays reachable; in seq mode the types are pointer-free —
-// nothing is pinned — and plain zeroing would race with lock-free
-// readers, so the dead payload just stays behind the cleared used flag.
+// clearSlot frees flat slot idx of bucket b, zeroing the stored pair so
+// no dead key or value (which may hold pointers for generic K/V) stays
+// reachable.
 //
 //repro:noalloc
 func (c *Core[K, V]) clearSlot(idx, b int) {
-	c.setUsed(idx, 0)
-	if !c.seqMode {
-		var zeroK K
-		var zeroV V
-		c.keys[idx] = zeroK
-		c.vals[idx] = zeroV
-	}
-	c.setCount(b, c.counts[b]-1)
-	c.size.Add(-1)
+	var zeroK K
+	var zeroV V
+	c.used[idx] = 0
+	c.keys[idx] = zeroK
+	c.vals[idx] = zeroV
+	c.counts[b]--
+	c.size--
 }
 
 // drainStashInto moves the first stashed entry (insertion order) whose
@@ -444,7 +339,7 @@ func (c *Core[K, V]) drainStashInto(b int, candsOf func(tag uint64) []uint32) {
 	if int(c.counts[b]) >= c.slotsPerBucket {
 		return
 	}
-	for i, e := range c.stashLive() {
+	for i, e := range c.stash {
 		for _, cb := range candsOf(e.tag) {
 			if int(cb) != b {
 				continue
@@ -468,18 +363,12 @@ func (c *Core[K, V]) StartResize(newBuckets int) {
 	if newBuckets <= 0 || newBuckets == c.buckets {
 		panic(fmt.Sprintf("mchtable: resize %d -> %d buckets", c.buckets, newBuckets))
 	}
-	next := NewCore[K, V](newBuckets, c.slotsPerBucket, c.stashCap)
-	next.seqMode = c.seqMode
 	c.cursor = 0
-	c.next.Store(next)
+	c.next.Store(NewCore[K, V](newBuckets, c.slotsPerBucket, c.stashCap))
 }
 
 // Resizing reports whether a resize is in flight.
 func (c *Core[K, V]) Resizing() bool { return c.next.Load() != nil }
-
-// Next returns the in-flight resize target core, or nil. The load is
-// atomic, so lock-free readers can chase the pointer mid-migration.
-func (c *Core[K, V]) Next() *Core[K, V] { return c.next.Load() }
 
 // Pending returns the number of entries still stored in the old geometry
 // of an in-flight resize (0 when not resizing) — the migration backlog.
@@ -487,11 +376,11 @@ func (c *Core[K, V]) Pending() int {
 	if c.next.Load() == nil {
 		return 0
 	}
-	return int(c.size.Load())
+	return c.size
 }
 
 // Resizes returns the number of completed resizes.
-func (c *Core[K, V]) Resizes() int { return int(c.resizes.Load()) }
+func (c *Core[K, V]) Resizes() int { return c.resizes }
 
 // Migrate performs up to n units of migration work — moving an entry
 // from the old geometry into the new one, or sweeping past an empty old
@@ -523,7 +412,7 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 	}
 	capped := next.buckets < c.buckets // only shrinks may stall
 	work := 0
-	for work < n && c.size.Load() > 0 {
+	for work < n && c.size > 0 {
 		if c.cursor < c.buckets {
 			b := c.cursor
 			if c.counts[b] == 0 {
@@ -549,16 +438,15 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 		// and O(1) per entry, where consuming the front would memmove the
 		// remainder every step (quadratic on the oversized stashes a
 		// saturated growth migration builds).
-		live := c.stashLive()
-		e := live[len(live)-1]
+		e := c.stash[len(c.stash)-1]
 		if !next.put(candsOf(e.tag), e.key, e.val, e.tag, capped) {
 			return work
 		}
-		c.stashPopBack()
-		c.size.Add(-1)
+		c.stashRemove(len(c.stash) - 1)
+		c.size--
 		work++
 	}
-	if c.size.Load() == 0 {
+	if c.size == 0 {
 		c.promote()
 	}
 	return work
@@ -566,20 +454,17 @@ func (c *Core[K, V]) Migrate(n int, candsOf func(tag uint64) []uint32) int {
 
 // promote replaces the receiver's contents with the fully migrated
 // new-geometry Core, ending the resize. Callers' *Core pointers survive.
-// The adoption is field by field: the atomic fields must not be
-// struct-copied, reader-visible state (view, stash, size) switches
-// through its atomic cells, and slotsPerBucket/stashCap are invariant
-// across a resize, so callers may read them without any lock.
+// The adoption is field by field because next must not be struct-copied;
+// slotsPerBucket and stashCap are invariant across a resize.
 func (c *Core[K, V]) promote() {
 	next := c.next.Load()
 	c.buckets = next.buckets
 	c.keys, c.vals, c.tags = next.keys, next.vals, next.tags
 	c.used, c.counts = next.used, next.counts
+	c.stash = next.stash
+	c.size = next.size
 	c.cursor = 0
-	c.size.Store(next.size.Load())
-	c.stash.Store(next.stash.Load())
-	c.view.Store(next.view.Load())
-	c.resizes.Add(1)
+	c.resizes++
 	c.next.Store(nil)
 }
 
@@ -619,17 +504,17 @@ func (c *Core[K, V]) PutDual(oldCands, newCands []uint32, key K, val V, tag uint
 				c.clearSlot(idx, int(b))
 				return true
 			}
-			c.setVal(&c.vals[idx], val)
+			c.vals[idx] = val
 			return true
 		}
 	}
 	if i := c.stashFind(key); i >= 0 {
 		if next.Put(newCands, key, val, tag) {
 			c.stashRemove(i)
-			c.size.Add(-1)
+			c.size--
 			return true
 		}
-		c.setVal(&c.stash.Load().arr[i].val, val)
+		c.stash[i].val = val
 		return true
 	}
 	return next.Put(newCands, key, val, tag)
@@ -655,31 +540,28 @@ func (c *Core[K, V]) DeleteDual(oldCands, newCands []uint32, key K, newCandsOf f
 	}
 	if i := c.stashFind(key); i >= 0 {
 		c.stashRemove(i)
-		c.size.Add(-1)
+		c.size--
 		return true
 	}
 	return next.Delete(newCands, key, newCandsOf)
 }
 
 // Len returns the number of stored pairs (including stashed ones and, mid-
-// resize, pairs already migrated to the new geometry). Every word it
-// reads is atomic, so seqlock readers can call it with no lock held; the
-// combined figure is only point-in-time consistent when the caller's
-// generation check validates (or the caller holds a lock).
+// resize, pairs already migrated to the new geometry).
 func (c *Core[K, V]) Len() int {
-	n := int(c.size.Load())
+	n := c.size
 	if next := c.next.Load(); next != nil {
-		n += int(next.size.Load())
+		n += next.size
 	}
 	return n
 }
 
 // StashLen returns the number of stashed pairs — the overflow count —
-// across both geometries mid-resize. Like Len it reads only atomic words.
+// across both geometries mid-resize.
 func (c *Core[K, V]) StashLen() int {
-	n := int(c.stash.Load().n.Load())
+	n := len(c.stash)
 	if next := c.next.Load(); next != nil {
-		n += int(next.stash.Load().n.Load())
+		n += len(next.stash)
 	}
 	return n
 }
@@ -708,15 +590,14 @@ func (c *Core[K, V]) Occupancy() float64 {
 // one geometry — which is what makes Range the snapshot iterator: a
 // persisted section is just Range's (key, val, tag) stream.
 //
-// fn must not mutate the core. Range reads plainly, so the caller must
-// exclude writers (internal/cmap holds the shard lock).
+// fn must not mutate the core.
 func (c *Core[K, V]) Range(fn func(key K, val V, tag uint64) bool) bool {
 	for idx, used := range c.used {
 		if used != 0 && !fn(c.keys[idx], c.vals[idx], c.tags[idx]) {
 			return false
 		}
 	}
-	for _, e := range c.stashLive() {
+	for _, e := range c.stash {
 		if !fn(e.key, e.val, e.tag) {
 			return false
 		}
@@ -730,7 +611,7 @@ func (c *Core[K, V]) Range(fn func(key K, val V, tag uint64) bool) bool {
 // AddBucketLoads folds the per-bucket occupancy counts into h — the
 // quantity the paper's load tables predict. internal/cmap aggregates its
 // shards' histograms through this. Mid-resize, both geometries' buckets
-// contribute. Like Range, it reads plainly under the caller's exclusion.
+// contribute.
 func (c *Core[K, V]) AddBucketLoads(h *stats.Hist) {
 	for _, n := range c.counts {
 		h.Add(int(n))

@@ -4,7 +4,7 @@
 // Registry that encodes Prometheus text exposition.
 //
 // The package exists to observe the hot paths this repository is about
-// — the seqlock read path, the WAL group commit, the server's burst
+// — the map's Get and Put, the WAL group commit, the server's burst
 // coalescing — so every recording primitive is built to be safe to
 // call from those paths: Counter.Add, Gauge.Set and Histogram.Record
 // are lock-free, allocation-free (`//repro:noalloc`, pinned by

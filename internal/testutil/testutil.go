@@ -77,7 +77,7 @@ const (
 	// ones alike) through the container's batched lookup path — GetBatch
 	// when the container has one, per-key Gets otherwise — and compares
 	// every per-key result and the returned hit count against the
-	// oracle. This is what pins cmap's phased seqlock MGet tier to the
+	// oracle. This is what pins cmap's batched GetBatch/MGet to the
 	// same semantics as Get, including mid-migration (a Finalize-less
 	// sequence leaves resizes in flight for later batch ops to probe).
 	OpGetBatch

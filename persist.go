@@ -375,9 +375,9 @@ func (s *DurableMap[K, V]) Delete(key K) (bool, error) {
 func (s *DurableMap[K, V]) Get(key K) (V, bool) { return s.m.Get(key) }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) through the map's
-// pipelined batched lookup tier, returning the number found. Reads are
-// not logged, so the durable wrapper adds nothing — see Map.GetBatch
-// for the phased-probe semantics. This is the entry point the network
+// batched lookup, returning the number found. Reads are not logged, so
+// the durable wrapper adds nothing — see Map.GetBatch for the per-key
+// consistency semantics. This is the entry point the network
 // front-end's per-connection read batching feeds.
 func (s *DurableMap[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	return s.m.GetBatch(keys, vals, found)
