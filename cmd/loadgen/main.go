@@ -1,92 +1,155 @@
-// Command loadgen stress-drives the typed sharded concurrent
-// multiple-choice hash map (internal/cmap) with a mixed Put/Get/Delete
-// workload across many goroutines and reports throughput plus the
-// occupancy statistics the paper's load tables predict: ops/sec,
-// per-shard skew, stash pressure, resize progress and the aggregated
-// bucket-load histogram.
+// Command loadgen drives a key-value store with the paper's workload
+// shape: key ids uniform over -keys, drawn from a seeded xoshiro stream,
+// and a Get/Delete/Put mix (-read, -delete). One op loop (worker.run)
+// drives one of two backends:
 //
-// Knobs shaping the contention and growth profile:
+//   - in process (the default): a typed sharded multiple-choice map
+//     (internal/cmap) with uint64, string or struct keys (-keytype),
+//     optional online resize (-grow) and a background migrator
+//     (-drain). After the run it prints the occupancy figures the
+//     paper's load tables predict: shard skew, stash pressure, resize
+//     progress and the aggregated bucket-load histogram.
+//   - -net addr: a served instance over the wire protocol, one
+//     connection per worker, with "key-%016x" keys and 32-byte values.
 //
-//	-keytype which generic key shape the hashers are exercised with:
-//	        uint64 (the historical 8-byte path), string (17-byte keys
-//	        hashed in place), struct (16-byte packet 5-tuples via the
-//	        byte-view hasher), or all — run every kind back to back and
-//	        report Mops/sec per key kind
-//	-keys   size of the key space (smaller = hotter keys, more same-shard
-//	        lock traffic and update-in-place)
-//	-read   fraction of operations that are Gets (Gets take the shard's
-//	        read lock, so they run in parallel with each other and wait
-//	        only for a writer on the same shard)
-//	-mget   batch Gets through GetBatch, this many keys per call (0 =
-//	        per-key Gets); hashes each chunk of keys in one pass, then
-//	        probes key by key under the shard read locks
-//	-preset "read-heavy" = the 95% Get / 5% Put serving mix, with every
-//	        op's latency recorded into a fixed-bucket histogram
-//	        (p50/p99/p999, no sampling bias) on top of Mops/sec
-//	-grow   max load factor: shards crossing it double online, migrating
-//	        entries in -migrate-batch steps piggybacked on writes
-//	-drain  background goroutine driving migration even when writes idle
-//	-verify disjoint per-worker key spaces + shadow maps; the run fails
-//	        if any key is lost, duplicated or corrupted (a correctness
-//	        mode: its op mix differs from the contended benchmark, so
-//	        read its Mops/sec as indicative only)
-//
-// Persistence knobs (the internal/persist subsystem under load):
-//
-//	-restore path  start from a snapshot instead of an empty map, loaded
-//	               at whatever geometry the other flags describe (the
-//	               snapshot's geometry is irrelevant; its seed wins)
-//	-snapshot path write a snapshot after the run and report MB/s; with
-//	               -verify the snapshot is reloaded and compared against
-//	               the live map pair by pair
-//	-wal path      append every write to a write-ahead log during the
-//	               run (fsync off — this is a throughput harness); with
-//	               -verify the log is replayed onto the starting state
-//	               and the replayed map must match the live one exactly
-//	               (-verify keeps per-key op order single-writer, which
-//	               is what makes the replay comparison sound)
+// -mget batches reads through GetBatch / MGET. -rate runs open loop:
+// ops are scheduled at a global rate and latency is measured from each
+// op's scheduled arrival, so a saturated store shows its queueing delay.
+// Every backend call, a single op or a whole batch, is one sample in a
+// fixed-bucket histogram; -json writes the summary. -verify gives each
+// worker a disjoint key range and a shadow map, checks every reply
+// against it, sweeps every live key through the batch get at the end
+// and, in process, requires Len to equal the live shadow count; any
+// divergence fails the run (exit 1). Flags that shape the in-process
+// map are rejected with -net (exit 2).
 //
 // Examples:
 //
 //	loadgen                                  # defaults: 16 shards, 75% reads
-//	loadgen -keytype all                     # uint64 vs string vs struct keys
-//	loadgen -workers 32 -read 0              # pure write storm
+//	loadgen -read 0.95 -delete 0 -mget 32    # read-heavy, batched gets
 //	loadgen -keys 1024 -shards 4             # hot-key shard contention
 //	loadgen -keytype string -buckets 256 -grow 0.75 -verify
-//	                                         # typed keys + live growth
-//	                                         # crossing the watermark
-//	                                         # mid-stream, checked
-//	loadgen -verify -wal /tmp/l.wal -snapshot /tmp/l.snap
-//	                                         # durability under load, both
-//	                                         # artifacts cross-checked
-//	loadgen -restore /tmp/l.snap -shards 64 -buckets 128
-//	                                         # reload at a different
-//	                                         # geometry and keep driving
+//	loadgen -net 127.0.0.1:4680 -workers 8 -verify
 package main
 
 import (
-	"bufio"
+	"cmp"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
+	"strings"
 	"time"
 
-	"repro/internal/cmap"
 	"repro/internal/keyed"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/rng"
-	"repro/internal/table"
-	"repro/internal/testutil"
 )
+
+// config is the parsed command line.
+type config struct {
+	workers, ops, keys, mget int
+	read, del, rate          float64
+	seed                     uint64
+	verify                   bool
+	jsonPath, net            string
+
+	keytype                                 string
+	shards, buckets, slots, d, stash, batch int
+	grow                                    float64
+	drain                                   bool
+}
+
+// mapOnly names the flags that shape the in-process map; -net rejects them.
+var mapOnly = []string{"shards", "buckets", "slots", "d", "stash", "grow", "migrate-batch", "drain", "keytype"}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if _, err := run(cfg, newBackend(cfg), os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		os.Exit(1)
+	}
+}
+
+// parseArgs parses and validates the command line, reporting any
+// problem on stderr; an error means exit status 2.
+func parseArgs(args []string, stderr io.Writer) (c config, err error) {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&c.workers, "workers", 0, "concurrent workers, one connection each with -net (0 = GOMAXPROCS)")
+	fs.IntVar(&c.ops, "ops", 2_000_000, "total operations across all workers")
+	fs.IntVar(&c.keys, "keys", 0, "key-space size (0 = 75% of initial slot capacity, 65536 with -net)")
+	fs.Float64Var(&c.read, "read", 0.75, "fraction of ops that are Gets")
+	fs.Float64Var(&c.del, "delete", 0.05, "fraction of ops that are Deletes")
+	fs.IntVar(&c.mget, "mget", 0, "batch Gets, this many keys per GetBatch/MGET call (0 = per-key Gets)")
+	fs.Float64Var(&c.rate, "rate", 0, "open-loop target ops/sec across all workers (0 = closed loop)")
+	fs.BoolVar(&c.verify, "verify", false, "disjoint per-worker key ranges + shadow maps; fail on any lost/duplicated/corrupted key")
+	fs.Uint64Var(&c.seed, "seed", 1, "base random seed")
+	fs.StringVar(&c.jsonPath, "json", "", "write a machine-readable throughput/latency summary to this file")
+	fs.StringVar(&c.net, "net", "", "drive a served instance at this address instead of the in-process map")
+	fs.StringVar(&c.keytype, "keytype", "uint64", "in-process key kind: uint64, string or struct")
+	fs.IntVar(&c.shards, "shards", 16, "shard count (rounded up to a power of two)")
+	fs.IntVar(&c.buckets, "buckets", 1<<12, "initial buckets per shard")
+	fs.IntVar(&c.slots, "slots", 4, "slots per bucket")
+	fs.IntVar(&c.d, "d", 3, "candidate buckets per key")
+	fs.IntVar(&c.stash, "stash", 32, "overflow stash capacity per shard")
+	fs.Float64Var(&c.grow, "grow", 0, "max load factor enabling online resize (0 = fixed capacity)")
+	fs.IntVar(&c.batch, "migrate-batch", 32, "entries migrated per Put/Delete (and per drainer step) during a resize")
+	fs.BoolVar(&c.drain, "drain", false, "run a background migration drainer alongside the workers (needs -grow)")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	var stray []string
+	if c.net != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(mapOnly, f.Name) {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+	}
+	switch {
+	case len(stray) > 0:
+		err = fmt.Errorf("%s shape the in-process map and do not apply with -net", strings.Join(stray, ", "))
+	case c.workers < 0 || c.ops < 0 || c.keys < 0 || c.mget < 0 || c.rate < 0:
+		err = errors.New("need -workers, -ops, -keys, -mget and -rate >= 0")
+	case c.read < 0 || c.del < 0 || c.read+c.del > 1:
+		err = errors.New("need -read >= 0, -delete >= 0 and -read + -delete <= 1")
+	case c.batch < 1:
+		err = errors.New("need -migrate-batch >= 1")
+	case c.net == "" && !slices.Contains([]string{"uint64", "string", "struct"}, c.keytype):
+		err = fmt.Errorf("unknown -keytype %q (want uint64, string or struct)", c.keytype)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return c, err
+	}
+	if c.workers == 0 {
+		c.workers = runtime.GOMAXPROCS(0)
+	}
+	if c.keys == 0 {
+		c.keys = 1 << 16
+		if c.net == "" {
+			c.keys = max(c.shards*c.buckets*c.slots*3/4, 1)
+		}
+	}
+	return c, nil
+}
 
 // fiveTuple is the struct key kind: a padding-free 16-byte packet
 // 5-tuple, hashed by the byte-view hasher. SrcIP/DstIP carry all 64 bits
-// of the generator's id, so the mapping is injective (required by the
-// -verify oracle).
+// of the key id, so the mapping is injective (required by the -verify
+// oracle).
 type fiveTuple struct {
 	SrcIP, DstIP     uint32
 	SrcPort, DstPort uint16
@@ -94,640 +157,338 @@ type fiveTuple struct {
 	Zone             uint16
 }
 
-type config struct {
-	shards, buckets, slots, d, stash int
-	workers, ops, keys               int
-	read, del, grow                  float64
-	batch                            int
-	mget                             int
-	latency                          bool
-	bg, verify                       bool
-	seed                             uint64
-	snapPath, restorePath, walPath   string
+// newBackend builds the backend a validated config names.
+func newBackend(cfg config) backend {
+	switch {
+	case cfg.net != "":
+		return netBackend{addr: cfg.net}
+	case cfg.keytype == "string":
+		return newMapBackend(cfg, keyed.ForType[string](), func(id uint64) string { return fmt.Sprintf("k%016x", id) })
+	case cfg.keytype == "struct":
+		return newMapBackend(cfg, keyed.ForType[fiveTuple](), func(id uint64) fiveTuple {
+			return fiveTuple{SrcIP: uint32(id), DstIP: uint32(id >> 32), SrcPort: uint16(id), DstPort: uint16(id >> 16), Proto: 6}
+		})
+	}
+	return newMapBackend(cfg, keyed.Uint64, func(id uint64) uint64 { return id })
 }
 
-// cmapConfig is the map shape the flags describe.
-func (c config) cmapConfig() cmap.Config {
-	return cmap.Config{
-		Shards: c.shards, BucketsPerShard: c.buckets, SlotsPerBucket: c.slots,
-		D: c.d, Seed: c.seed, StashPerShard: c.stash,
-		MaxLoadFactor: c.grow, MigrateBatch: c.batch,
-	}
+// result is one run's outcome, including the -verify oracle's finding.
+type result struct {
+	ops         int              // operations issued (batched reads count per key)
+	elapsed     time.Duration    // the worker phase only
+	lat         obs.HistSnapshot // one sample per backend call
+	rejected    int64            // legal capacity rejections (Put false, key absent)
+	divergences int64            // mid-run replies that disagreed with a shadow
+	first       string           // the first of them
+	live        int              // union size of the final shadows
+	lost        int              // final sweep: shadow keys the backend dropped
+	corrupted   int              // final sweep: shadow keys with the wrong value
+	lenDelta    int              // resident pairs − live, when the backend counts them
 }
 
-func main() {
-	var (
-		shards  = flag.Int("shards", 16, "shard count (rounded up to a power of two)")
-		buckets = flag.Int("buckets", 1<<12, "initial buckets per shard")
-		slots   = flag.Int("slots", 4, "slots per bucket")
-		d       = flag.Int("d", 3, "candidate buckets per key")
-		stash   = flag.Int("stash", 32, "overflow stash capacity per shard")
-		workers = flag.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS)")
-		ops     = flag.Int("ops", 2_000_000, "total operations across all workers")
-		keys    = flag.Int("keys", 0, "key-space size (0 = 75% of initial slot capacity)")
-		keytype = flag.String("keytype", "uint64", "key kind: uint64, string, struct, or all")
-		read    = flag.Float64("read", 0.75, "fraction of ops that are Gets")
-		del     = flag.Float64("delete", 0.05, "fraction of ops that are Deletes")
-		grow    = flag.Float64("grow", 0, "max load factor enabling online resize (0 = fixed capacity)")
-		batch   = flag.Int("migrate-batch", 32, "entries migrated per Put/Delete during a resize")
-		mget    = flag.Int("mget", 0, "batch Gets through GetBatch, this many keys per call (0 = per-key Gets)")
-		preset  = flag.String("preset", "", `workload preset: "read-heavy" = 95% Get / 5% Put with p50/p99 latency sampling`)
-		bg      = flag.Bool("drain", false, "run a background migration drainer alongside the workers")
-		verify  = flag.Bool("verify", false, "per-worker shadow maps; fail on any lost/duplicated/corrupted key")
-		seed    = flag.Uint64("seed", 1, "base random seed")
-		snap    = flag.String("snapshot", "", "write a snapshot to this path after the run (reload-checked with -verify)")
-		restore = flag.String("restore", "", "load this snapshot before the run, at the flags' geometry")
-		wal     = flag.String("wal", "", "append writes to a write-ahead log at this path (replay-checked with -verify)")
-		netAddr = flag.String("net", "", "drive a served instance at this address over the wire protocol instead of the in-process map")
-		conns   = flag.Int("conns", 0, "network mode: concurrent client connections (0 = GOMAXPROCS)")
-		rate    = flag.Float64("rate", 0, "network mode: open-loop target ops/sec across all connections (0 = closed loop)")
-		jsonOut = flag.String("json", "", "network mode: write a machine-readable throughput/latency summary to this file")
-	)
-	flag.Parse()
-
-	latency := false
-	switch *preset {
-	case "":
-	case "read-heavy":
-		*read, *del = 0.95, 0
-		latency = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -preset %q (want read-heavy)\n", *preset)
-		os.Exit(2)
+func (r *result) verdict() error {
+	switch {
+	case r.divergences > 0:
+		return fmt.Errorf("VERIFY FAILED: %d mid-run divergences, first: %s", r.divergences, r.first)
+	case r.lost > 0 || r.corrupted > 0:
+		return fmt.Errorf("VERIFY FAILED: final sweep found %d keys lost, %d corrupted", r.lost, r.corrupted)
+	case r.lenDelta != 0:
+		return fmt.Errorf("VERIFY FAILED: Len is %+d vs the %d shadow keys (lost or duplicated entries)", r.lenDelta, r.live)
 	}
-	if *mget < 0 {
-		fmt.Fprintln(os.Stderr, "need -mget >= 0")
-		os.Exit(2)
-	}
-	if *mget > 0 && *verify && *netAddr == "" {
-		// The concurrent oracle issues per-key ops; batched lookups are
-		// differentially tested by the testutil OpGetBatch op instead.
-		// (Network mode supports both together: its shadow maps check
-		// every MGET slot.)
-		fmt.Fprintln(os.Stderr, "note: -verify drives per-key ops; -mget ignored")
-		*mget = 0
-	}
-	if *read < 0 || *del < 0 || *read+*del > 1 {
-		fmt.Fprintln(os.Stderr, "need read >= 0, delete >= 0 and read+delete <= 1")
-		os.Exit(2)
-	}
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	if *netAddr != "" {
-		// Network mode: the map lives in the served process; every other
-		// in-process knob (geometry, snapshot/WAL artifacts) is its
-		// concern, not loadgen's.
-		if *snap != "" || *restore != "" || *wal != "" {
-			fmt.Fprintln(os.Stderr, "-net drives a remote map; -snapshot/-restore/-wal do not apply")
-			os.Exit(2)
-		}
-		if *conns == 0 {
-			*conns = runtime.GOMAXPROCS(0)
-		}
-		if *keys == 0 {
-			*keys = 1 << 16
-		}
-		runNet(config{
-			ops: *ops, keys: *keys, read: *read, del: *del,
-			mget: *mget, verify: *verify, seed: *seed,
-		}, netConfig{addr: *netAddr, conns: *conns, rate: *rate, jsonPath: *jsonOut})
-		return
-	}
-	if *batch == 0 {
-		*batch = 32 // cmap's documented default; MigrateStep rejects n <= 0
-	}
-	capacity := *shards * *buckets * *slots
-	if *keys == 0 {
-		*keys = int(0.75 * float64(capacity))
-	}
-	cfg := config{
-		shards: *shards, buckets: *buckets, slots: *slots, d: *d, stash: *stash,
-		workers: *workers, ops: *ops, keys: *keys,
-		read: *read, del: *del, grow: *grow, batch: *batch,
-		mget: *mget, latency: latency,
-		bg: *bg, verify: *verify, seed: *seed,
-		snapPath: *snap, restorePath: *restore, walPath: *wal,
-	}
-	if *keytype == "all" && (*snap != "" || *restore != "" || *wal != "") {
-		fmt.Fprintln(os.Stderr, "-snapshot/-restore/-wal need a single -keytype (the artifact is keyed to it)")
-		os.Exit(2)
-	}
-	if *restore != "" && *verify {
-		// The concurrent oracle's per-worker shadows start empty, so a
-		// preloaded map would read as thousands of divergences (and its
-		// pairs would trip the Len-vs-shadows duplication check).
-		fmt.Fprintln(os.Stderr, "-restore cannot be combined with -verify: the shadow oracle starts from an empty map")
-		os.Exit(2)
-	}
-
-	kinds := []string{*keytype}
-	if *keytype == "all" {
-		kinds = []string{"uint64", "string", "struct"}
-	}
-	type result struct {
-		kind string
-		mops float64
-	}
-	var results []result
-	for i, kind := range kinds {
-		if i > 0 {
-			fmt.Println()
-		}
-		var mops float64
-		switch kind {
-		case "uint64":
-			mops = run(cfg, kind, keyed.Uint64, keyed.Uint64Codec, func(k uint64) uint64 { return k })
-		case "string":
-			mops = run(cfg, kind, keyed.ForType[string](), keyed.CodecFor[string](),
-				func(k uint64) string { return fmt.Sprintf("k%016x", k) })
-		case "struct":
-			mops = run(cfg, kind, keyed.ForType[fiveTuple](), keyed.CodecFor[fiveTuple](), func(k uint64) fiveTuple {
-				return fiveTuple{
-					SrcIP: uint32(k), DstIP: uint32(k >> 32),
-					SrcPort: uint16(k), DstPort: uint16(k >> 16), Proto: 6,
-				}
-			})
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -keytype %q (want uint64, string, struct or all)\n", kind)
-			os.Exit(2)
-		}
-		results = append(results, result{kind, mops})
-	}
-	if len(results) > 1 {
-		fmt.Println("\nThroughput by key kind (one SipHash evaluation per op in every mode):")
-		tw := table.New("keytype", "Mops/sec")
-		for _, r := range results {
-			tw.AddRow(r.kind, fmt.Sprintf("%.2f", r.mops))
-		}
-		fmt.Print(tw.String())
-	}
+	return nil
 }
 
-// run drives one workload against a typed map keyed by K, returning the
-// measured Mops/sec. keyOf must be injective (the -verify shadow maps
-// rely on it).
-func run[K comparable](cfg config, kind string, h keyed.Hasher[K], kc keyed.Codec[K], keyOf func(uint64) K) float64 {
-	var m *cmap.Map[K, uint64]
-	if cfg.restorePath != "" {
-		f, err := os.Open(cfg.restorePath)
-		if err != nil {
-			fatalf("open -restore: %v", err)
-		}
-		start := time.Now()
-		m, err = cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(f, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-		f.Close()
-		if err != nil {
-			fatalf("restore: %v", err)
-		}
-		fmt.Printf("restored %d pairs from %s in %v (snapshot seed adopted; geometry is this run's flags)\n",
-			m.Len(), cfg.restorePath, time.Since(start).Round(time.Millisecond))
-	} else {
-		m = cmap.NewKeyed[K, uint64](h, cfg.cmapConfig())
-	}
-
-	// The write-side container the workload drives: with -wal every
-	// Put/Delete is logged before it is applied.
-	var wal *persist.WAL
-	target := testutil.Container[K, uint64](m)
-	if cfg.walPath != "" {
-		var err error
-		wal, err = persist.CreateWAL(cfg.walPath, persist.WALOptions{NoSync: true})
-		if err != nil {
-			fatalf("create -wal: %v", err)
-		}
-		defer wal.Close()
-		target = &walMap[K]{m: m, wal: wal, kc: kc}
-	}
-	capacity := cfg.shards * cfg.buckets * cfg.slots
-	fmt.Printf("cmap[%s]: %d shards × %d buckets × %d slots (capacity %d), d=%d, one SipHash per op\n",
-		kind, m.Shards(), cfg.buckets, cfg.slots, capacity, cfg.d)
-	if cfg.grow > 0 {
-		fmt.Printf("online resize: watermark %.2f, migrate batch %d, background drainer %v\n", cfg.grow, cfg.batch, cfg.bg)
-	}
-	mode := ""
+// run drives cfg's workload against be, prints the summary to out and
+// writes -json. It returns the result, and an error if a backend call
+// failed or verification did.
+func run(cfg config, be backend, out io.Writer) (res result, err error) {
+	mode := "get"
 	if cfg.mget > 0 {
-		mode = fmt.Sprintf(", gets batched %d/GetBatch", cfg.mget)
+		mode = fmt.Sprintf("mget-%d", cfg.mget)
 	}
-	fmt.Printf("workload: %d ops on %d workers over %d keys (%.0f%% get / %.0f%% delete / %.0f%% put)%s, verify %v\n\n",
-		cfg.ops, cfg.workers, cfg.keys, cfg.read*100, cfg.del*100, (1-cfg.read-cfg.del)*100, mode, cfg.verify)
+	fmt.Fprintf(out, "%s: %d ops on %d workers over %d keys (%.0f%% get / %.0f%% delete / %.0f%% put), mode %s, rate %v, verify %v\n",
+		be.name(), cfg.ops, cfg.workers, cfg.keys, cfg.read*100, cfg.del*100, (1-cfg.read-cfg.del)*100, mode, cfg.rate, cfg.verify)
 
-	// Optional background drainer: migration progresses even when the
-	// write mix is too read-heavy to piggyback it quickly. Pointless (and
-	// pure lock traffic) with resize disabled, so it needs -grow too.
-	var stopDrain atomic.Bool
-	var drainWG sync.WaitGroup
-	if cfg.bg && cfg.grow > 0 {
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for !stopDrain.Load() {
-				if m.MigrateStep(cfg.batch) == 0 {
-					// Idle: no shard is resizing. Sleep rather than spin so
-					// the drainer doesn't perturb the numbers it exists to
-					// protect.
-					time.Sleep(100 * time.Microsecond)
-				}
-			}
-		}()
-	}
-
-	// Batched-lookup surface: the raw map or the WAL interposer, both of
-	// which forward GetBatch to cmap.
-	getBatcher, hasBatch := any(target).(interface {
-		GetBatch(keys []K, vals []uint64, found []bool) int
-	})
-	if cfg.mget > 0 && !hasBatch {
-		fatalf("-mget: target container has no GetBatch")
-	}
-	// One histogram shared by every worker (Record is a single atomic
-	// add): every op is recorded, memory is fixed, and the percentiles
-	// come straight out of the bucket counts — no sample array, no sort,
-	// no every-Nth sampling bias.
 	var lat obs.Histogram
-
-	var rejectedCount atomic.Int64
-	perWorker := cfg.ops / cfg.workers
-	perKeys := uint64(cfg.keys / cfg.workers)
-	if perKeys == 0 {
-		perKeys = 1
+	ws := make([]*worker, 0, cfg.workers)
+	defer func() {
+		for _, w := range ws {
+			w.s.close()
+		}
+	}()
+	for i := 0; i < cfg.workers; i++ {
+		s, err := be.session(i)
+		if err != nil {
+			be.quiesce()
+			return res, err
+		}
+		ws = append(ws, newWorker(cfg, i, s, &lat))
 	}
 	start := time.Now()
-	var elapsedOverride time.Duration
-	var res testutil.ConcurrentResult
+	errs := make(chan error, len(ws))
+	for _, w := range ws {
+		go func() { errs <- w.run(start) }()
+	}
+	for range ws {
+		if werr := <-errs; err == nil {
+			err = werr
+		}
+	}
+	res.elapsed = time.Since(start)
+	resident := be.quiesce()
+	if err != nil {
+		return res, err
+	}
+	lat.Snapshot(&res.lat)
+	for _, w := range ws {
+		res.ops += w.ops
+		res.rejected += w.rejected
+		res.divergences += w.divergences
+		res.first = cmp.Or(res.first, w.first)
+		if cfg.verify {
+			res.live += len(w.shadow)
+			if err := w.sweep(&res); err != nil {
+				return res, fmt.Errorf("verify sweep: %w", err)
+			}
+		}
+	}
+	if cfg.verify && resident >= 0 {
+		res.lenDelta = resident - res.live
+	}
+
+	opsPerSec := float64(res.ops) / res.elapsed.Seconds()
+	fmt.Fprintf(out, "\n%d ops in %v  →  %.2f Mops/sec (GOMAXPROCS=%d)\n",
+		res.ops, res.elapsed.Round(time.Millisecond), opsPerSec/1e6, runtime.GOMAXPROCS(0))
+	us := func(q float64) float64 { return float64(res.lat.Quantile(q)) / 1e3 }
+	fmt.Fprintf(out, "latency per backend call: p50 %.2fµs, p90 %.2fµs, p99 %.2fµs, p999 %.2fµs, mean %.2fµs over %d calls\n",
+		us(0.50), us(0.90), us(0.99), us(0.999), res.lat.Mean()/1e3, res.lat.Count)
+	if res.rejected > 0 {
+		fmt.Fprintf(out, "rejected puts (all candidates + stash full): %d\n", res.rejected)
+	}
 	if cfg.verify {
-		// The shared concurrent differential oracle (internal/testutil, the
-		// same harness the cmap race tests use): disjoint per-worker key
-		// spaces, per-worker shadow maps, a final lost/corrupted sweep and
-		// the Len-vs-shadows duplication check, all through keyOf — the
-		// typed key kinds run under the identical oracle. Finalize drains
-		// any in-flight migration so the sweep runs on the final geometry.
-		res = testutil.RunConcurrentKeyed(target, testutil.ConcurrentOptions{
-			Workers: cfg.workers, OpsPerWorker: perWorker, KeysPerWorker: perKeys,
-			GetFrac: cfg.read, DeleteFrac: cfg.del, Seed: cfg.seed,
-			Finalize: func() {
-				for m.MigrateStep(cfg.batch) > 0 {
-				}
-			},
-		}, keyOf, func(v uint64) uint64 { return v })
-		rejectedCount.Store(res.Rejected)
-		// Time the worker phase only (drain + sweep excluded). Note that
-		// -verify still measures a different workload than an unverified
-		// run: key spaces are disjoint per worker (no cross-worker hot-key
-		// contention) and every op pays shadow-map bookkeeping, so treat
-		// its Mops/sec as indicative, not as the contention benchmark.
-		elapsedOverride = res.WorkDuration
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.workers; w++ {
-			ws := &workerState[K]{
-				cfg: cfg, target: target, keyOf: keyOf, lat: &lat,
-				src:      rng.NewXoshiro256(rng.Mix64(cfg.seed + uint64(w)*0x9E3779B97F4A7C15)),
-				rejected: &rejectedCount, ops: perWorker,
-			}
-			if cfg.mget > 0 {
-				ws.getBatch = getBatcher.GetBatch
-				ws.batch = make([]K, 0, cfg.mget)
-				ws.bvals = make([]uint64, cfg.mget)
-				ws.bfound = make([]bool, cfg.mget)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws.run()
-			}()
+		fmt.Fprintf(out, "verify: %d lost, %d corrupted, %d mid-run divergences (%d live keys swept)\n",
+			res.lost, res.corrupted, res.divergences, res.live)
+	}
+	be.report(out)
+
+	if cfg.jsonPath != "" {
+		data, err := json.MarshalIndent(map[string]any{
+			"backend": be.name(), "workers": cfg.workers, "ops": res.ops, "mode": mode,
+			"rate_target": cfg.rate, "elapsed_sec": res.elapsed.Seconds(), "ops_per_sec": opsPerSec,
+			"p50_us": us(0.50), "p90_us": us(0.90), "p99_us": us(0.99), "p999_us": us(0.999),
+			"mean_us": res.lat.Mean() / 1e3, "max_us": us(1), "samples": res.lat.Count,
+			"verified": cfg.verify, "lost": res.lost, "corrupted": res.corrupted,
+			"divergences": res.divergences, "len_delta": res.lenDelta,
+		}, "", "  ")
+		if err == nil {
+			err = os.WriteFile(cfg.jsonPath, append(data, '\n'), 0o644)
 		}
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-	if elapsedOverride > 0 {
-		elapsed = elapsedOverride
-	}
-	stopDrain.Store(true)
-	drainWG.Wait()
-
-	done := perWorker * cfg.workers
-	mops := float64(done) / elapsed.Seconds() / 1e6
-	fmt.Printf("%d ops in %v  →  %.2f Mops/sec (GOMAXPROCS=%d)\n",
-		done, elapsed.Round(time.Millisecond), mops, runtime.GOMAXPROCS(0))
-	if cfg.latency {
-		var ls obs.HistSnapshot
-		lat.Snapshot(&ls)
-		if ls.Count > 0 {
-			note := ""
-			if cfg.mget > 0 {
-				note = fmt.Sprintf(" (batched gets: per-key share of a %d-key GetBatch)", cfg.mget)
-			}
-			fmt.Printf("per-op latency: p50 %v, p99 %v, p999 %v over %d ops (every op recorded)%s\n",
-				time.Duration(ls.Quantile(0.50)), time.Duration(ls.Quantile(0.99)),
-				time.Duration(ls.Quantile(0.999)), ls.Count, note)
+		if err != nil {
+			return res, fmt.Errorf("-json: %w", err)
 		}
+		fmt.Fprintf(out, "json summary → %s\n", cfg.jsonPath)
 	}
-	if r := rejectedCount.Load(); r > 0 {
-		fmt.Printf("rejected puts (all candidates + stash full): %d\n", r)
-	}
-
-	st := m.Stats()
-	if st.Resizes > 0 || st.Migrating > 0 {
-		pending := st.Migrating
-		for m.MigrateStep(1024) > 0 {
-		}
-		st = m.Stats()
-		fmt.Printf("\nresizes completed: %d, capacity %d → %d slots, %d entries were still mid-migration at finish (drained to %d)\n",
-			st.Resizes, capacity, st.Capacity, pending, st.Migrating)
-	}
-
-	fmt.Printf("\noccupancy %.3f  (%d pairs / %d slots), stash %d, shard len min/max %d/%d\n",
-		st.Occupancy, st.Len, st.Capacity, st.Stashed, st.MinShardLen, st.MaxShardLen)
-
-	fmt.Println("\nBucket-load histogram (all shards aggregated):")
-	tw := table.New("load", "buckets", "fraction")
-	for v := 0; v <= st.BucketLoads.MaxValue(); v++ {
-		tw.AddRow(fmt.Sprint(v), fmt.Sprint(st.BucketLoads.Count(v)), table.Prob(st.BucketLoads.Fraction(v)))
-	}
-	fmt.Print(tw.String())
-
-	if cfg.verify {
-		duplicated := res.LenDelta // a pair resident in both geometries inflates Len
-		if duplicated < 0 {
-			duplicated = 0
-		}
-		fmt.Printf("\nverify: %d lost, %d duplicated, %d corrupted, %d mid-run divergences (%d live keys checked)\n",
-			res.Lost, duplicated, res.Corrupted, res.Divergences, res.LiveKeys)
-		if err := res.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "VERIFY FAILED:", err)
-			os.Exit(1)
-		}
-	}
-
-	if cfg.walPath != "" {
-		verifyWAL(cfg, m, h, kc, keyOf)
-	}
-	if cfg.snapPath != "" {
-		writeSnapshot(cfg, m, h, kc)
-	}
-	return mops
+	return res, res.verdict()
 }
 
-// workerState is one worker's share of the workload loop, hoisted out
-// of the goroutine closure so the hot loop is a named method the
-// noalloc analyzer can hold to zero allocations. Every slice the loop
-// appends into (the Get batch, its result arrays) is allocated here,
-// once, before the first op; latencies go into the shared fixed-size
-// histogram.
-type workerState[K comparable] struct {
-	cfg      config
-	target   testutil.Container[K, uint64]
-	getBatch func(keys []K, vals []uint64, found []bool) int
-	keyOf    func(uint64) K
-	src      rng.Source
-	rejected *atomic.Int64
-	ops      int
-	lat      *obs.Histogram // shared across workers; Record is atomic
+// worker is one goroutine's share of the workload. Everything the op
+// loop touches is allocated here, before the first op.
+type worker struct {
+	s          session
+	src        rng.Source
+	ops        int
+	base, span uint64 // key ids are drawn from [base, base+span)
+	read, del  float64
+	mget       int
+	// Open-loop schedule: op n is due at start + offset + n*interval
+	// (zero interval = closed loop).
+	interval, offset time.Duration
+	lat              *obs.Histogram // shared across workers; Record is atomic
 
-	batch  []K      // accumulating Get batch (cfg.mget > 0)
-	bvals  []uint64 // GetBatch result scratch
-	bfound []bool   // GetBatch result scratch
+	ids   []uint64 // pending read batch (mget > 0)
+	vals  []uint64
+	found []bool
+
+	shadow                map[uint64]uint64 // -verify: key id → last stored value
+	rejected, divergences int64
+	first                 string // the first divergence
 }
 
-// run is the hot workload loop: ops operations of the configured
-// Get/Delete/Put mix, every one timed under -preset read-heavy (two
-// monotonic clock reads plus one atomic add per op — cheap enough not
-// to bend the throughput it annotates, and free of the every-Nth
-// sampling bias the old scheme had). This loop is what the reported
-// Mops/sec measures, so it must not allocate — any allocation here
-// would be benchmarked as map throughput.
+// newWorker sets up worker i: its share of the ops (the remainder goes
+// one each to the first workers, so exactly cfg.ops run), its seeded
+// stream, and under -verify its own key range and shadow map.
+func newWorker(cfg config, i int, s session, lat *obs.Histogram) *worker {
+	w := &worker{
+		s: s, lat: lat, read: cfg.read, del: cfg.del, mget: cfg.mget,
+		src:  rng.NewXoshiro256(rng.Mix64(cfg.seed + uint64(i)*0x9E3779B97F4A7C15)),
+		ops:  cfg.ops / cfg.workers,
+		span: uint64(cfg.keys),
+	}
+	if i < cfg.ops%cfg.workers {
+		w.ops++
+	}
+	if cfg.verify {
+		w.span = max(uint64(cfg.keys/cfg.workers), 1)
+		w.base = uint64(i) * w.span
+		w.shadow = make(map[uint64]uint64, min(w.span, uint64(w.ops)))
+	}
+	if cfg.mget > 0 {
+		w.ids = make([]uint64, 0, cfg.mget)
+		w.vals = make([]uint64, cfg.mget)
+		w.found = make([]bool, cfg.mget)
+	}
+	if cfg.rate > 0 {
+		w.interval = time.Duration(float64(cfg.workers) / cfg.rate * float64(time.Second))
+		w.offset = time.Duration(float64(i) / cfg.rate * float64(time.Second))
+	}
+	return w
+}
+
+// run is the op loop: ops draws of a key id and an op from the
+// worker's stream, each op one timed backend call (batched reads share
+// the call that flushes them). The loop is what the reported
+// throughput measures, so it must not allocate; the shadow checks it
+// calls only run under -verify.
 //
 //repro:noalloc
-func (ws *workerState[K]) run() {
-	keySpace := uint64(ws.cfg.keys)
-	timed := ws.cfg.latency
-	for i := 0; i < ws.ops; i++ {
-		k := ws.keyOf(1 + ws.src.Uint64()%keySpace)
-		var t0 time.Time
-		switch p := rng.Float64(ws.src); {
-		case p < ws.cfg.read:
-			if ws.cfg.mget > 0 {
-				ws.batch = append(ws.batch, k)
-				if len(ws.batch) == ws.cfg.mget {
-					ws.flush()
+func (w *worker) run(start time.Time) error {
+	for i := 0; i < w.ops; i++ {
+		var due time.Time
+		if w.interval > 0 {
+			due = start.Add(w.offset + time.Duration(i)*w.interval)
+			if wait := time.Until(due); wait > 0 {
+				time.Sleep(wait)
+			}
+		}
+		id := w.base + w.src.Uint64()%w.span
+		switch p := rng.Float64(w.src); {
+		case p < w.read && w.mget > 0:
+			w.ids = append(w.ids, id)
+			if len(w.ids) == w.mget {
+				if err := w.flush(due); err != nil {
+					return err
 				}
-				continue
 			}
-			if timed {
-				t0 = time.Now()
-			}
-			ws.target.Get(k)
-		case p < ws.cfg.read+ws.cfg.del:
-			if timed {
-				t0 = time.Now()
-			}
-			ws.target.Delete(k)
-		default:
-			if timed {
-				t0 = time.Now()
-			}
-			if !ws.target.Put(k, uint64(i)) {
-				ws.rejected.Add(1)
-			}
-		}
-		if timed {
-			ws.lat.Record(time.Since(t0).Nanoseconds())
-		}
-	}
-	ws.flush()
-}
-
-// flush resolves the accumulated Get batch through one GetBatch call,
-// recording each key's share of the batch's round-trip latency.
-//
-//repro:noalloc
-func (ws *workerState[K]) flush() {
-	if len(ws.batch) == 0 {
-		return
-	}
-	var t0 time.Time
-	if ws.cfg.latency {
-		t0 = time.Now()
-	}
-	ws.getBatch(ws.batch, ws.bvals[:len(ws.batch)], ws.bfound[:len(ws.batch)])
-	if ws.cfg.latency {
-		ws.lat.Record(time.Since(t0).Nanoseconds() / int64(len(ws.batch)))
-	}
-	ws.batch = ws.batch[:0]
-}
-
-// writeSnapshot persists the post-run map, reports throughput, and with
-// -verify reloads the file at the same geometry and compares it against
-// the live map pair by pair.
-func writeSnapshot[K comparable](cfg config, m *cmap.Map[K, uint64], h keyed.Hasher[K], kc keyed.Codec[K]) {
-	f, err := os.Create(cfg.snapPath)
-	if err != nil {
-		fatalf("create -snapshot: %v", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	start := time.Now()
-	if err := m.Snapshot(bw, kc, keyed.Uint64Codec); err != nil {
-		fatalf("snapshot: %v", err)
-	}
-	if err := bw.Flush(); err != nil {
-		fatalf("snapshot flush: %v", err)
-	}
-	elapsed := time.Since(start)
-	st, err := f.Stat()
-	if err != nil {
-		fatalf("snapshot stat: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("snapshot close: %v", err)
-	}
-	mb := float64(st.Size()) / (1 << 20)
-	fmt.Printf("\nsnapshot: %d pairs, %.1f MiB to %s in %v (%.0f MB/s)\n",
-		m.Len(), mb, cfg.snapPath, elapsed.Round(time.Millisecond), mb/elapsed.Seconds())
-
-	if !cfg.verify {
-		return
-	}
-	rf, err := os.Open(cfg.snapPath)
-	if err != nil {
-		fatalf("reopen snapshot: %v", err)
-	}
-	defer rf.Close()
-	got, err := cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(rf, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-	if err != nil {
-		fatalf("snapshot reload: %v", err)
-	}
-	if n := diffMaps(m, got); n > 0 {
-		fatalf("snapshot reload diverged from the live map on %d pairs", n)
-	}
-	fmt.Printf("snapshot verify: reload matches the live map exactly (%d pairs)\n", got.Len())
-}
-
-// verifyWAL replays the run's log onto the starting state (the -restore
-// snapshot or empty) and, with -verify, requires the replayed map to
-// equal the live one — per-key op order is single-writer there, so the
-// log linearizes per key exactly as the map applied it.
-func verifyWAL[K comparable](cfg config, m *cmap.Map[K, uint64], h keyed.Hasher[K], kc keyed.Codec[K], keyOf func(uint64) K) {
-	var base *cmap.Map[K, uint64]
-	if cfg.restorePath != "" {
-		f, err := os.Open(cfg.restorePath)
-		if err != nil {
-			fatalf("reopen -restore for replay: %v", err)
-		}
-		base, err = cmap.LoadKeyed[K, uint64](bufio.NewReaderSize(f, 1<<20), h, kc, keyed.Uint64Codec, cfg.cmapConfig())
-		f.Close()
-		if err != nil {
-			fatalf("replay base restore: %v", err)
-		}
-	} else {
-		base = cmap.NewKeyed[K, uint64](h, cfg.cmapConfig())
-	}
-	start := time.Now()
-	n, torn, err := persist.ReplayWAL(cfg.walPath, func(op persist.WALOp, key, val []byte) error {
-		k, err := kc.Decode(key)
-		if err != nil {
-			return err
-		}
-		switch op {
-		case persist.WALPut:
-			v, err := keyed.Uint64Codec.Decode(val)
+		case p < w.read:
+			t0 := time.Now()
+			val, ok, err := w.s.get(id)
 			if err != nil {
 				return err
 			}
-			base.Put(k, v)
-		case persist.WALDelete:
-			base.Delete(k)
+			w.record(due, t0)
+			if w.shadow != nil {
+				w.checkGet(id, val, ok)
+			}
+		case p < w.read+w.del:
+			t0 := time.Now()
+			present, err := w.s.del(id)
+			if err != nil {
+				return err
+			}
+			w.record(due, t0)
+			if w.shadow != nil {
+				w.checkDelete(id, present)
+			}
+		default:
+			t0 := time.Now()
+			stored, err := w.s.put(id, uint64(i))
+			if err != nil {
+				return err
+			}
+			w.record(due, t0)
+			w.notePut(id, uint64(i), stored)
 		}
+	}
+	return w.flush(time.Time{})
+}
+
+// flush resolves the pending read batch through one batch-get call.
+//
+//repro:noalloc
+func (w *worker) flush(due time.Time) error {
+	n := len(w.ids)
+	if n == 0 {
 		return nil
-	})
-	if err != nil {
-		fatalf("wal replay: %v", err)
 	}
-	fmt.Printf("\nwal: %d records replayed from %s in %v (torn tail: %v)\n",
-		n, cfg.walPath, time.Since(start).Round(time.Millisecond), torn)
-	if !cfg.verify {
-		return
+	t0 := time.Now()
+	if err := w.s.getBatch(w.ids, w.vals[:n], w.found[:n]); err != nil {
+		return err
 	}
-	if torn {
-		fatalf("wal verify: torn tail in a log that was never crash-cut")
-	}
-	if n := diffMaps(m, base); n > 0 {
-		fatalf("wal replay diverged from the live map on %d pairs", n)
-	}
-	fmt.Printf("wal verify: replay reconstructs the live map exactly (%d pairs)\n", base.Len())
-}
-
-// diffMaps counts pairs on which the two maps disagree (either
-// direction, via the Len cross-check).
-func diffMaps[K comparable](a, b *cmap.Map[K, uint64]) int {
-	diff := 0
-	a.Range(func(k K, v uint64) bool {
-		if bv, ok := b.Get(k); !ok || bv != v {
-			diff++
-		}
-		return true
-	})
-	if a.Len() != b.Len() && diff == 0 {
-		diff = b.Len() - a.Len() // extras on b's side only
-		if diff < 0 {
-			diff = -diff
+	w.record(due, t0)
+	if w.shadow != nil {
+		for j, id := range w.ids {
+			w.checkGet(id, w.vals[j], w.found[j])
 		}
 	}
-	return diff
+	w.ids = w.ids[:0]
+	return nil
 }
 
-// walMap interposes the write-ahead log between the workload and the
-// map: every Put/Delete is appended to the log, then applied.
-type walMap[K comparable] struct {
-	m   *cmap.Map[K, uint64]
-	wal *persist.WAL
-	kc  keyed.Codec[K]
-	buf sync.Pool // *walScratch
-}
-
-type walScratch struct{ k, v []byte }
-
-func (w *walMap[K]) scratch() *walScratch {
-	if sc, ok := w.buf.Get().(*walScratch); ok {
-		return sc
+// record adds one call's latency: from its scheduled arrival when open
+// loop (due set), else from its send.
+//
+//repro:noalloc
+func (w *worker) record(due, t0 time.Time) {
+	if due.IsZero() {
+		due = t0
 	}
-	return &walScratch{}
+	w.lat.Record(time.Since(due).Nanoseconds())
 }
 
-func (w *walMap[K]) Put(key K, val uint64) bool {
-	sc := w.scratch()
-	sc.k = w.kc.Append(sc.k[:0], key)
-	sc.v = keyed.Uint64Codec.Append(sc.v[:0], val)
-	err := w.wal.Append(persist.WALPut, sc.k, sc.v)
-	w.buf.Put(sc)
-	if err != nil {
-		fatalf("wal append: %v", err)
+func (w *worker) checkGet(id, val uint64, ok bool) {
+	want, resident := w.shadow[id]
+	if ok != resident || (ok && val != want) {
+		w.diverge("get %#x = (%d, %v), shadow (%d, %v)", id, val, ok, want, resident)
 	}
-	return w.m.Put(key, val)
 }
 
-func (w *walMap[K]) Delete(key K) bool {
-	sc := w.scratch()
-	sc.k = w.kc.Append(sc.k[:0], key)
-	err := w.wal.Append(persist.WALDelete, sc.k, nil)
-	w.buf.Put(sc)
-	if err != nil {
-		fatalf("wal append: %v", err)
+func (w *worker) checkDelete(id uint64, present bool) {
+	if _, resident := w.shadow[id]; present != resident {
+		w.diverge("delete %#x: present %v, shadow %v", id, present, resident)
 	}
-	return w.m.Delete(key)
+	delete(w.shadow, id)
 }
 
-func (w *walMap[K]) Get(key K) (uint64, bool) { return w.m.Get(key) }
-
-// GetBatch forwards to the map's GetBatch — reads are not logged, so
-// the interposer adds nothing.
-func (w *walMap[K]) GetBatch(keys []K, vals []uint64, found []bool) int {
-	return w.m.GetBatch(keys, vals, found)
+// notePut applies a put to the shadow; a rejected put is a legal
+// capacity rejection unless the key was resident.
+func (w *worker) notePut(id, val uint64, stored bool) {
+	switch _, resident := w.shadow[id]; {
+	case stored && w.shadow != nil:
+		w.shadow[id] = val
+	case !stored && resident:
+		w.diverge("put %#x rejected a resident key", id)
+	case !stored:
+		w.rejected++
+	}
 }
-func (w *walMap[K]) Len() int                      { return w.m.Len() }
-func (w *walMap[K]) Range(fn func(K, uint64) bool) { w.m.Range(fn) }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+func (w *worker) diverge(format string, args ...any) {
+	if w.divergences == 0 {
+		w.first = fmt.Sprintf(format, args...)
+	}
+	w.divergences++
+}
+
+// sweep re-reads every shadow pair through the backend's batch get and
+// counts lost (absent) and corrupted (wrong value) keys into res.
+func (w *worker) sweep(res *result) error {
+	const batch = 128 // keys per call, within any server's MGET bound
+	ids := slices.Collect(maps.Keys(w.shadow))
+	vals := make([]uint64, len(ids))
+	found := make([]bool, len(ids))
+	for lo := 0; lo < len(ids); lo += batch {
+		hi := min(lo+batch, len(ids))
+		if err := w.s.getBatch(ids[lo:hi], vals[lo:hi], found[lo:hi]); err != nil {
+			return err
+		}
+	}
+	for j, id := range ids {
+		switch {
+		case !found[j]:
+			res.lost++
+		case vals[j] != w.shadow[id]:
+			res.corrupted++
+		}
+	}
+	return nil
 }

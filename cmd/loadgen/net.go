@@ -1,371 +1,110 @@
 package main
 
-// The network mode: -net addr points loadgen at a served instance and
-// the workload crosses the wire protocol instead of calling the map in
-// process. What changes versus the in-process mode:
-//
-//   - Concurrency is connections (-conns), each one pipelining client
-//     on its own goroutine, not map-level workers.
-//   - -rate runs the workload open loop: operations are scheduled at a
-//     global arrival rate and latency is measured from each op's
-//     *scheduled* time, so a saturated server shows its queueing delay
-//     instead of hiding it behind a slow closed loop (coordinated
-//     omission).
-//   - Latency is the headline number — p50/p99/p999 over every op,
-//     recorded in full into a fixed-bucket histogram (no sampling, no
-//     cap, constant memory) — and -json writes the machine-readable
-//     summary CI archives.
-//   - -mget batches reads through MGET frames (one round trip per
-//     batch); unbatched mode is one GET round trip per read. The ratio
-//     between the two is the serving-path payoff of the map's batched
-//     lookup tier plus frame coalescing.
-//   - -verify gives each connection a disjoint key space and a shadow
-//     map, then sweeps every shadow pair back through MGET at the end:
-//     any lost or divergent pair fails the run (exit 1).
-
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
-	"os"
-	"time"
+	"io"
+	"strconv"
 
-	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
-// netConfig is the network mode's shape, layered on the shared config.
-type netConfig struct {
-	addr     string
-	conns    int
-	rate     float64 // target ops/sec across all connections (0 = closed loop)
-	jsonPath string
-}
+// netBackend drives a served instance over the wire protocol, one
+// connection per worker. Key id n is "key-%016x"; a put of tag t
+// stores the key, "#", t in decimal, then padding to netValueSize, so
+// a value read back identifies both its key and the write it came from.
+type netBackend struct{ addr string }
 
-// netValueSize is the stored value payload in network mode: small
-// enough to keep the run map-bound, large enough that replies are not
-// header-only.
+// netValueSize is the stored value payload: small enough to keep the
+// run map-bound, large enough that replies are not header-only.
 const netValueSize = 32
 
-// runNet drives the whole -net workload and returns the achieved
-// ops/sec (for symmetry with run; the process exits on any failure).
-func runNet(cfg config, nc netConfig) float64 {
-	fmt.Printf("net: %s, %d connection(s), %d ops (%.0f%% get / %.0f%% delete / %.0f%% put)\n",
-		nc.addr, nc.conns, cfg.ops, cfg.read*100, cfg.del*100, (1-cfg.read-cfg.del)*100)
-	if cfg.mget > 0 {
-		fmt.Printf("net: reads batched %d keys per MGET round trip\n", cfg.mget)
-	}
-	if nc.rate > 0 {
-		fmt.Printf("net: open loop at %.0f ops/sec (latency measured from scheduled arrival)\n", nc.rate)
-	}
+// badValue is what a value not written for its key decodes to; no put
+// stores it (tags are op indices).
+const badValue = ^uint64(0)
 
-	perConn := cfg.ops / nc.conns
-	perKeys := uint64(cfg.keys) / uint64(nc.conns)
-	if perKeys == 0 {
-		perKeys = 1
-	}
-	// One histogram shared by every connection: Record is a single
-	// atomic add, so concurrent workers merge as they go and the final
-	// percentiles need no sort pass over collected samples.
-	var lat obs.Histogram
-	workers := make([]*netWorker, nc.conns)
-	for w := range workers {
-		c, err := wire.Dial(nc.addr)
-		if err != nil {
-			fatalf("net: dial %s: %v", nc.addr, err)
-		}
-		workers[w] = &netWorker{
-			cfg: cfg, client: c, ops: perConn, lat: &lat,
-			keyBase: uint64(w) * perKeys, keySpan: perKeys,
-			src: rng.NewXoshiro256(rng.Mix64(cfg.seed + uint64(w)*0x9E3779B97F4A7C15)),
-		}
-		if cfg.verify {
-			workers[w].shadow = make(map[string]string, perKeys)
-		}
-		if nc.rate > 0 {
-			workers[w].interval = time.Duration(float64(nc.conns) / nc.rate * float64(time.Second))
-			workers[w].offset = time.Duration(w) * time.Duration(float64(time.Second)/nc.rate)
-		}
-	}
+func (b netBackend) name() string { return "net " + b.addr }
 
-	start := time.Now()
-	errs := make(chan error, nc.conns)
-	for _, w := range workers {
-		go func(w *netWorker) { errs <- w.run(start) }(w)
+func (b netBackend) session(int) (session, error) {
+	c, err := wire.Dial(b.addr)
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", b.addr, err)
 	}
-	for range workers {
-		if err := <-errs; err != nil {
-			fatalf("net: %v", err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	var ls obs.HistSnapshot
-	lat.Snapshot(&ls)
-	done := perConn * nc.conns
-	opsPerSec := float64(done) / elapsed.Seconds()
-	fmt.Printf("\n%d ops in %v  →  %.0f ops/sec over %d connection(s)\n",
-		done, elapsed.Round(time.Millisecond), opsPerSec, nc.conns)
-	var p50, p99, p999 time.Duration
-	if ls.Count > 0 {
-		p50 = time.Duration(ls.Quantile(0.50))
-		p99 = time.Duration(ls.Quantile(0.99))
-		p999 = time.Duration(ls.Quantile(0.999))
-		note := ""
-		if cfg.mget > 0 {
-			note = fmt.Sprintf(" (batched reads: one sample per %d-key MGET round trip)", cfg.mget)
-		}
-		fmt.Printf("latency: p50 %v, p99 %v, p999 %v, mean %v over %d samples%s\n",
-			p50, p99, p999, time.Duration(ls.Mean()), ls.Count, note)
-	}
-
-	lost, divergent := 0, 0
-	if cfg.verify {
-		for _, w := range workers {
-			l, d, err := w.sweep()
-			if err != nil {
-				fatalf("net: verify sweep: %v", err)
-			}
-			lost += l
-			divergent += d
-		}
-		live := 0
-		for _, w := range workers {
-			live += len(w.shadow)
-		}
-		fmt.Printf("verify: %d lost, %d divergent (%d live keys swept over MGET)\n", lost, divergent, live)
-	}
-
-	for _, w := range workers {
-		w.client.Close()
-	}
-
-	if nc.jsonPath != "" {
-		mode := "get"
-		if cfg.mget > 0 {
-			mode = fmt.Sprintf("mget-%d", cfg.mget)
-		}
-		// Schema note: every pre-histogram field survives unchanged;
-		// p90_us / mean_us / max_us are additions from the full-recording
-		// histogram (max_us is the upper edge of the last occupied bucket).
-		summary := map[string]any{
-			"addr": nc.addr, "conns": nc.conns, "ops": done, "mode": mode,
-			"rate_target": nc.rate, "elapsed_sec": elapsed.Seconds(),
-			"ops_per_sec": opsPerSec,
-			"p50_us":      float64(p50) / float64(time.Microsecond),
-			"p90_us":      float64(ls.Quantile(0.90)) / float64(time.Microsecond),
-			"p99_us":      float64(p99) / float64(time.Microsecond),
-			"p999_us":     float64(p999) / float64(time.Microsecond),
-			"mean_us":     ls.Mean() / float64(time.Microsecond),
-			"max_us":      float64(ls.Quantile(1)) / float64(time.Microsecond),
-			"samples":     ls.Count,
-			"verified":    cfg.verify, "lost": lost, "divergent": divergent,
-		}
-		data, err := json.MarshalIndent(summary, "", "  ")
-		if err != nil {
-			fatalf("net: -json: %v", err)
-		}
-		if err := os.WriteFile(nc.jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("net: -json: %v", err)
-		}
-		fmt.Printf("json summary → %s\n", nc.jsonPath)
-	}
-
-	if cfg.verify && (lost > 0 || divergent > 0) {
-		fatalf("net: VERIFY FAILED: %d lost, %d divergent", lost, divergent)
-	}
-	return opsPerSec
+	return &netSession{c: c}, nil
 }
 
-// netWorker is one connection's share of the network workload.
-type netWorker struct {
-	cfg    config
-	client *wire.Client
-	ops    int
-	src    rng.Source
+func (netBackend) quiesce() int     { return -1 }
+func (netBackend) report(io.Writer) {}
 
-	// Disjoint per-connection key range [keyBase, keyBase+keySpan): with
-	// -verify each connection is the only writer of its keys, so its
-	// shadow map is an exact oracle.
-	keyBase, keySpan uint64
-	shadow           map[string]string
-
-	// Open-loop schedule: op n is due at start + offset + n*interval
-	// (zero interval = closed loop).
-	interval, offset time.Duration
-
-	lat *obs.Histogram // shared across connections; Record is atomic
-
-	kbuf  []byte   // key render scratch
-	vbuf  []byte   // value render scratch
-	batch [][]byte // accumulated MGET keys (cfg.mget > 0)
-	bvals [][]byte // MGET result scratch
-	bfnd  []bool   // MGET result scratch
+type netSession struct {
+	c    *wire.Client
+	kbuf []byte   // key render scratch
+	vbuf []byte   // value render scratch
+	keys [][]byte // MGET keys, one reused buffer per slot
+	raw  [][]byte // MGET reply views
 }
 
-// key renders the worker's i-th key into its scratch buffer.
-func (w *netWorker) key(i uint64) []byte {
-	w.kbuf = fmt.Appendf(w.kbuf[:0], "key-%016x", w.keyBase+i%w.keySpan)
-	return w.kbuf
+func (s *netSession) get(id uint64) (uint64, bool, error) {
+	s.kbuf = appendKey(s.kbuf[:0], id)
+	v, ok, err := s.c.Get(s.kbuf)
+	if err != nil {
+		return 0, false, fmt.Errorf("GET %s: %w", s.kbuf, err)
+	}
+	return decodeValue(s.kbuf, v), ok, nil
 }
 
-// value derives the stored payload for key k at op n: the key itself,
-// a put counter, then padding to netValueSize — self-describing enough
-// that a divergence message identifies the stray write.
-func (w *netWorker) value(k []byte, n int) []byte {
-	w.vbuf = append(w.vbuf[:0], k...)
-	w.vbuf = fmt.Appendf(w.vbuf, "#%d", n)
-	for len(w.vbuf) < netValueSize {
-		w.vbuf = append(w.vbuf, '.')
+func (s *netSession) getBatch(ids, vals []uint64, found []bool) error {
+	for len(s.keys) < len(ids) {
+		s.keys = append(s.keys, nil)
+		s.raw = append(s.raw, nil)
 	}
-	return w.vbuf
-}
-
-// run executes the worker's op mix. Every operation is one wire round
-// trip (reads share round trips in -mget mode); latency is measured
-// from the op's scheduled arrival when open loop, from its send when
-// closed loop.
-func (w *netWorker) run(start time.Time) error {
-	if w.cfg.mget > 0 {
-		w.batch = make([][]byte, 0, w.cfg.mget)
-		w.bvals = make([][]byte, w.cfg.mget)
-		w.bfnd = make([]bool, w.cfg.mget)
+	keys := s.keys[:len(ids)]
+	for i, id := range ids {
+		keys[i] = appendKey(keys[i][:0], id)
 	}
-	for i := 0; i < w.ops; i++ {
-		var due time.Time
-		if w.interval > 0 {
-			due = start.Add(w.offset + time.Duration(i)*w.interval)
-			if wait := time.Until(due); wait > 0 {
-				time.Sleep(wait)
-			}
-		} else {
-			due = time.Now()
-		}
-		k := w.key(w.src.Uint64())
-		switch p := rng.Float64(w.src); {
-		case p < w.cfg.read:
-			if w.cfg.mget > 0 {
-				// Batched reads share one scheduled slot per flush; the
-				// accumulating ops are free, the flush pays the round trip.
-				w.batch = append(w.batch, append([]byte(nil), k...))
-				if len(w.batch) == w.cfg.mget {
-					if err := w.flushBatch(due); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			val, ok, err := w.client.Get(k)
-			if err != nil {
-				return fmt.Errorf("GET %s: %w", k, err)
-			}
-			w.note(due)
-			if w.shadow != nil {
-				if err := w.checkRead(k, val, ok); err != nil {
-					return err
-				}
-			}
-		case p < w.cfg.read+w.cfg.del:
-			present, err := w.client.Delete(k)
-			if err != nil {
-				return fmt.Errorf("DEL %s: %w", k, err)
-			}
-			w.note(due)
-			if w.shadow != nil {
-				if _, had := w.shadow[string(k)]; had != present {
-					return fmt.Errorf("DEL %s: present=%v, shadow %v", k, present, had)
-				}
-				delete(w.shadow, string(k))
-			}
-		default:
-			v := w.value(k, i)
-			if err := w.client.Set(k, v); err != nil {
-				return fmt.Errorf("SET %s: %w", k, err)
-			}
-			w.note(due)
-			if w.shadow != nil {
-				w.shadow[string(k)] = string(v)
-			}
-		}
+	if _, err := s.c.MGet(keys, s.raw[:len(ids)], found); err != nil {
+		return fmt.Errorf("MGET of %d keys: %w", len(ids), err)
 	}
-	return w.flushBatch(time.Now())
-}
-
-// flushBatch resolves the accumulated read batch through one MGET round
-// trip, recording one latency sample for the batch.
-func (w *netWorker) flushBatch(due time.Time) error {
-	if len(w.batch) == 0 {
-		return nil
-	}
-	n := len(w.batch)
-	if _, err := w.client.MGet(w.batch, w.bvals[:n], w.bfnd[:n]); err != nil {
-		return fmt.Errorf("MGET of %d keys: %w", n, err)
-	}
-	w.note(due)
-	if w.shadow != nil {
-		for i, k := range w.batch {
-			if err := w.checkRead(k, w.bvals[i], w.bfnd[i]); err != nil {
-				return err
-			}
-		}
-	}
-	w.batch = w.batch[:0]
-	return nil
-}
-
-// checkRead compares one read result against the shadow map.
-func (w *netWorker) checkRead(k, val []byte, ok bool) error {
-	want, resident := w.shadow[string(k)]
-	if ok != resident {
-		return fmt.Errorf("GET %s: found=%v, shadow %v", k, ok, resident)
-	}
-	if ok && string(val) != want {
-		return fmt.Errorf("GET %s: %q, shadow %q", k, val, want)
+	for i := range ids {
+		vals[i] = decodeValue(keys[i], s.raw[i])
 	}
 	return nil
 }
 
-// note records one completed op's latency relative to its due time.
-// Every op is recorded — the histogram's memory is fixed, so there is
-// no sample cap and no tail bias from hitting one.
-func (w *netWorker) note(due time.Time) {
-	w.lat.Record(time.Since(due).Nanoseconds())
+func (s *netSession) put(id, val uint64) (bool, error) {
+	s.kbuf = appendKey(s.kbuf[:0], id)
+	s.vbuf = append(append(s.vbuf[:0], s.kbuf...), '#')
+	s.vbuf = strconv.AppendUint(s.vbuf, val, 10)
+	for len(s.vbuf) < netValueSize {
+		s.vbuf = append(s.vbuf, '.')
+	}
+	if err := s.c.Set(s.kbuf, s.vbuf); err != nil {
+		return false, fmt.Errorf("SET %s: %w", s.kbuf, err)
+	}
+	return true, nil
 }
 
-// sweep re-reads every shadow pair through MGET in server-sized batches
-// and counts lost (absent) and divergent (wrong value) keys.
-func (w *netWorker) sweep() (lost, divergent int, err error) {
-	const sweepBatch = 128
-	keys := make([][]byte, 0, sweepBatch)
-	want := make([]string, 0, sweepBatch)
-	vals := make([][]byte, sweepBatch)
-	found := make([]bool, sweepBatch)
-	flush := func() error {
-		if len(keys) == 0 {
-			return nil
-		}
-		if _, err := w.client.MGet(keys, vals[:len(keys)], found[:len(keys)]); err != nil {
-			return err
-		}
-		for i := range keys {
-			switch {
-			case !found[i]:
-				lost++
-			case string(vals[i]) != want[i]:
-				divergent++
-			}
-		}
-		keys, want = keys[:0], want[:0]
-		return nil
+func (s *netSession) del(id uint64) (bool, error) {
+	s.kbuf = appendKey(s.kbuf[:0], id)
+	present, err := s.c.Delete(s.kbuf)
+	if err != nil {
+		return false, fmt.Errorf("DEL %s: %w", s.kbuf, err)
 	}
-	for k, v := range w.shadow {
-		keys = append(keys, []byte(k))
-		want = append(want, v)
-		if len(keys) == sweepBatch {
-			if err := flush(); err != nil {
-				return lost, divergent, err
-			}
-		}
+	return present, nil
+}
+
+func (s *netSession) close() error { return s.c.Close() }
+
+// appendKey renders key id as "key-%016x".
+func appendKey(dst []byte, id uint64) []byte { return fmt.Appendf(dst, "key-%016x", id) }
+
+// decodeValue recovers the put tag from a value stored under key.
+func decodeValue(key, val []byte) uint64 {
+	rest, mine := bytes.CutPrefix(val, key)
+	rest, tagged := bytes.CutPrefix(rest, []byte{'#'})
+	tag, err := strconv.ParseUint(string(bytes.TrimRight(rest, ".")), 10, 64)
+	if !mine || !tagged || err != nil {
+		return badValue
 	}
-	return lost, divergent, flush()
+	return tag
 }

@@ -16,9 +16,6 @@ package lint
 // the repository's idioms:
 //
 //   - x.mu.Lock()/RLock()/Unlock()/RUnlock() on an annotated field;
-//   - x.lock()/x.unlock() wrapper methods: a method named
-//     lock/unlock/rlock/runlock on a type with exactly one annotated
-//     mutex field acquires/releases that field's class;
 //   - st := s.stripe(k); st.Lock(): a local assigned from a //repro:lockclass
 //     accessor function (or from &classedField / classedArray[i])
 //     carries the class;
@@ -90,14 +87,6 @@ type classIndex struct {
 	byName  map[string]*lockClass
 	fields  map[*types.Var]*lockClass  // annotated mutex fields (Origin)
 	funcs   map[*types.Func]*lockClass // annotated accessor functions
-	// lockMethods maps a lock()/unlock()-style wrapper method to its
-	// receiver's single annotated class (true = acquire, false = release).
-	lockMethods map[*types.Func]lockMethod
-}
-
-type lockMethod struct {
-	class   *lockClass
-	acquire bool
 }
 
 func (ci *classIndex) intern(p *Pass, name string, rank int, pos token.Pos) *lockClass {
@@ -115,10 +104,9 @@ func (ci *classIndex) intern(p *Pass, name string, rank int, pos token.Pos) *loc
 
 func collectLockClasses(p *Pass) *classIndex {
 	ci := &classIndex{
-		byName:      map[string]*lockClass{},
-		fields:      map[*types.Var]*lockClass{},
-		funcs:       map[*types.Func]*lockClass{},
-		lockMethods: map[*types.Func]lockMethod{},
+		byName: map[string]*lockClass{},
+		fields: map[*types.Var]*lockClass{},
+		funcs:  map[*types.Func]*lockClass{},
 	}
 	dirs := p.Directives()
 	// Annotated struct fields.
@@ -159,25 +147,6 @@ func collectLockClasses(p *Pass) *classIndex {
 			ci.funcs[fn.Origin()] = ci.intern(p, name, rank, dir.Pos)
 		}
 	}
-	// lock()/unlock() wrapper methods on single-class receivers.
-	for fn, fd := range p.FuncDecls() {
-		if fd.Recv == nil {
-			continue
-		}
-		var acquire bool
-		switch fd.Name.Name {
-		case "lock", "Lock", "rlock", "RLock":
-			acquire = true
-		case "unlock", "Unlock", "runlock", "RUnlock":
-			acquire = false
-		default:
-			continue
-		}
-		c := soleClassOfReceiver(p, fn, ci)
-		if c != nil {
-			ci.lockMethods[fn.Origin()] = lockMethod{class: c, acquire: acquire}
-		}
-	}
 	return ci
 }
 
@@ -191,37 +160,6 @@ func parseLockClassArgs(args string) (string, int, bool) {
 		return "", 0, false
 	}
 	return fields[0], rank, true
-}
-
-// soleClassOfReceiver returns the receiver type's annotated class if it
-// has exactly one annotated mutex field.
-func soleClassOfReceiver(p *Pass, fn *types.Func, ci *classIndex) *lockClass {
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		return nil
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var found *lockClass
-	for i := 0; i < st.NumFields(); i++ {
-		if c, ok := ci.fields[st.Field(i).Origin()]; ok {
-			if found != nil && found != c {
-				return nil // ambiguous: two classes on one receiver
-			}
-			found = c
-		}
-	}
-	return found
 }
 
 // lockEvent is one acquire or release resolved at a call site.
@@ -250,9 +188,6 @@ func resolveLockEvent(p *Pass, call *ast.CallExpr, ci *classIndex, locals map[ty
 	fn := calleeFunc(p.TypesInfo, call)
 	if fn == nil || fn.Pkg() != p.Pkg {
 		return lockEvent{}, false
-	}
-	if lm, ok := ci.lockMethods[fn.Origin()]; ok {
-		return lockEvent{class: lm.class, acquire: lm.acquire, pos: call.Pos()}, true
 	}
 	if fd, ok := decls[fn.Origin()]; ok {
 		if sum := acq[fd]; sum != 0 {

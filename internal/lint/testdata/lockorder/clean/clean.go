@@ -1,7 +1,7 @@
 // Package clean holds the legal locking shapes: rank-increasing
 // nesting, strictly sequential acquisition of unordered classes (the
 // group-commit hand-off), stripe locks reached through an annotated
-// accessor, and lock()/unlock() wrapper methods. Any lockorder finding
+// accessor, and re-acquisition around a loop. Any lockorder finding
 // here is a false positive.
 package clean
 
@@ -53,30 +53,17 @@ func (s *smap) put(k uint64) {
 	s.mu.RUnlock()
 }
 
-// Wrapper methods: a lock()/unlock() pair on a type with exactly one
-// annotated mutex field acquires and releases that field's class.
 type shard struct {
 	mu sync.RWMutex //repro:lockclass shard 30
 	n  int
-}
-
-func (sh *shard) lock()   { sh.mu.Lock() }
-func (sh *shard) unlock() { sh.mu.Unlock() }
-
-func (s *smap) apply(sh *shard) {
-	s.mu.RLock()
-	sh.lock()
-	sh.n++
-	sh.unlock()
-	s.mu.RUnlock()
 }
 
 // retryLoop re-acquires the same class around a loop: the unlock on the
 // back edge keeps the held set empty at the next acquire.
 func (sh *shard) retryLoop(n int) {
 	for i := 0; i < n; i++ {
-		sh.lock()
+		sh.mu.Lock()
 		sh.n++
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 }

@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// writeSnapshot builds a snapshot with the given sections of (key, val,
+// encodeSnapshot builds a snapshot with the given sections of (key, val,
 // digest) records.
 type rec struct {
 	key, val []byte
 	digest   uint64
 }
 
-func writeSnapshot(t *testing.T, h Header, sections [][]rec) []byte {
+func encodeSnapshot(t *testing.T, h Header, sections [][]rec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	h.Sections = uint32(len(sections))
@@ -68,7 +68,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		},
 	}
 	h := Header{Seed: 7, Shards: 3, Buckets: 64, Slots: 4, D: 3, Stash: 32}
-	data := writeSnapshot(t, h, in)
+	data := encodeSnapshot(t, h, in)
 
 	got, sections, err := readAll(data)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 		{key: []byte("key-a"), val: []byte("val-a"), digest: 1111},
 		{key: []byte("key-b"), val: []byte("val-b"), digest: 2222},
 	}}
-	data := writeSnapshot(t, Header{Seed: 3}, in)
+	data := encodeSnapshot(t, Header{Seed: 3}, in)
 	for i := range data {
 		corrupt := append([]byte(nil), data...)
 		corrupt[i] ^= 0x5A
@@ -141,7 +141,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 
 func TestSnapshotTruncationDetected(t *testing.T) {
 	in := [][]rec{{{key: []byte("k"), val: []byte("v"), digest: 9}}}
-	data := writeSnapshot(t, Header{}, in)
+	data := encodeSnapshot(t, Header{}, in)
 	for n := 0; n < len(data); n++ {
 		if _, _, err := readAll(data[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d bytes: error %v is not ErrCorrupt", n, err)
@@ -154,7 +154,7 @@ func TestSnapshotTruncationDetected(t *testing.T) {
 // gigabytes (enforced by the count/length consistency check and the
 // chunked payload reads — a panic or OOM here fails the test run).
 func TestSnapshotLyingLengthsBounded(t *testing.T) {
-	base := writeSnapshot(t, Header{}, [][]rec{{{key: []byte("k"), val: []byte("v"), digest: 9}}})
+	base := encodeSnapshot(t, Header{}, [][]rec{{{key: []byte("k"), val: []byte("v"), digest: 9}}})
 	for _, mut := range []struct {
 		name   string
 		count  uint64
@@ -207,7 +207,7 @@ func TestSnapshotWriterRecordAllocs(t *testing.T) {
 
 func TestSnapshotEmptyAndManySections(t *testing.T) {
 	// Zero sections: header-only snapshot.
-	data := writeSnapshot(t, Header{Seed: 1}, nil)
+	data := encodeSnapshot(t, Header{Seed: 1}, nil)
 	h, sections, err := readAll(data)
 	if err != nil || h.Sections != 0 || len(sections) != 0 {
 		t.Fatalf("empty snapshot: %+v, %v, %v", h, sections, err)
@@ -217,7 +217,7 @@ func TestSnapshotEmptyAndManySections(t *testing.T) {
 	for i := range in {
 		in[i] = []rec{{key: fmt.Appendf(nil, "key-%d", i), val: []byte("v"), digest: uint64(i)}}
 	}
-	_, sections, err = readAll(writeSnapshot(t, Header{}, in))
+	_, sections, err = readAll(encodeSnapshot(t, Header{}, in))
 	if err != nil || len(sections) != 64 {
 		t.Fatalf("64 sections: %d, %v", len(sections), err)
 	}
@@ -231,7 +231,7 @@ func TestSnapshotEmptyAndManySections(t *testing.T) {
 func TestSnapshotTrailingGarbageIgnored(t *testing.T) {
 	// The format is self-delimiting: bytes after the last declared
 	// section are not the reader's business (a stream may carry more).
-	data := writeSnapshot(t, Header{}, [][]rec{{{key: []byte("k"), val: []byte("v"), digest: 9}}})
+	data := encodeSnapshot(t, Header{}, [][]rec{{{key: []byte("k"), val: []byte("v"), digest: 9}}})
 	data = append(data, 0xFF, 0xEE, 0xDD)
 	if _, _, err := readAll(data); err != nil {
 		t.Fatalf("trailing bytes after the declared sections: %v", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/rng"
 )
@@ -38,10 +37,6 @@ type ConcurrentResult struct {
 	Corrupted       int    // final sweep: shadow keys with the wrong value
 	LiveKeys        int    // union size of the final shadows
 	LenDelta        int    // container Len − LiveKeys (> 0 smells duplication)
-	// WorkDuration covers the worker phase only — Finalize and the final
-	// sweep are excluded — so throughput computed from it is comparable
-	// to an unverified run of the same workload.
-	WorkDuration time.Duration
 }
 
 // Err distills the result: nil if the container matched the oracle
@@ -58,27 +53,15 @@ func (r ConcurrentResult) Err() error {
 	return nil
 }
 
-// RunConcurrent is the concurrent counterpart of Run over the library's
-// historical uint64 → uint64 key shape: Workers goroutines drive a random
-// Put/Get/Delete mix against the container and per-worker shadow maps at
-// once, then a final sweep checks that every shadow key survived with its
-// value and that the container holds nothing more. It is the single
-// oracle for concurrent containers (cmap's race tests and cmd/loadgen
-// -verify), complementing Run's sequential op sequences; unlike Run it
-// keeps going after a divergence — the race detector wants the full
-// schedule — and reports counts instead of failing fast.
+// RunConcurrent is the concurrent counterpart of Run: Workers
+// goroutines drive a random Put/Get/Delete mix against the container and
+// per-worker shadow maps at once, then a final sweep checks that every
+// shadow key survived with its value and that the container holds
+// nothing more. It is the single oracle for cmap's race tests,
+// complementing Run's sequential op sequences; unlike Run it keeps going
+// after a divergence — the race detector wants the full schedule — and
+// reports counts instead of failing fast.
 func RunConcurrent(c Container[uint64, uint64], opt ConcurrentOptions) ConcurrentResult {
-	id := func(x uint64) uint64 { return x }
-	return RunConcurrentKeyed(c, opt, id, id)
-}
-
-// RunConcurrentKeyed is RunConcurrent for any typed container: the
-// workload is still generated as tagged uint64 ids, and keyOf / valOf
-// translate each id into the container's key and value domains (so one
-// generator drives Map[string, V] and struct-keyed maps alike). keyOf
-// must be injective — distinct ids must produce distinct keys — or the
-// shadow maps stop being authoritative; valOf may be any pure function.
-func RunConcurrentKeyed[K comparable, V comparable](c Container[K, V], opt ConcurrentOptions, keyOf func(uint64) K, valOf func(uint64) V) ConcurrentResult {
 	if opt.Workers <= 0 || opt.OpsPerWorker < 0 || opt.KeysPerWorker == 0 ||
 		opt.GetFrac < 0 || opt.DeleteFrac < 0 || opt.GetFrac+opt.DeleteFrac > 1 {
 		panic(fmt.Sprintf("testutil: RunConcurrent options %+v", opt))
@@ -96,7 +79,6 @@ func RunConcurrentKeyed[K comparable, V comparable](c Container[K, V], opt Concu
 	}
 
 	shadows := make([]map[uint64]uint64, opt.Workers)
-	workStart := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
@@ -108,19 +90,19 @@ func RunConcurrentKeyed[K comparable, V comparable](c Container[K, V], opt Concu
 				k := uint64(w+1)<<48 | (1 + src.Uint64()%opt.KeysPerWorker)
 				switch p := rng.Float64(src); {
 				case p < opt.GetFrac:
-					v, ok := c.Get(keyOf(k))
-					if want, wok := shadow[k]; ok != wok || (ok && v != valOf(want)) {
+					v, ok := c.Get(k)
+					if want, wok := shadow[k]; ok != wok || (ok && v != want) {
 						diverge("worker %d: Get(%#x) = (%v,%v), shadow (%v,%v)", w, k, v, ok, want, wok)
 					}
 				case p < opt.GetFrac+opt.DeleteFrac:
 					_, wok := shadow[k]
-					if c.Delete(keyOf(k)) != wok {
+					if c.Delete(k) != wok {
 						diverge("worker %d: Delete(%#x) disagreed with shadow %v", w, k, wok)
 					}
 					delete(shadow, k)
 				default:
 					v := src.Uint64()
-					if c.Put(keyOf(k), valOf(v)) {
+					if c.Put(k, v) {
 						shadow[k] = v
 					} else if _, wok := shadow[k]; wok {
 						diverge("worker %d: Put(%#x) rejected a resident key", w, k)
@@ -133,7 +115,6 @@ func RunConcurrentKeyed[K comparable, V comparable](c Container[K, V], opt Concu
 		}(w)
 	}
 	wg.Wait()
-	res.WorkDuration = time.Since(workStart)
 	res.Divergences = divergences.Load()
 	res.Rejected = rejected.Load()
 
@@ -143,10 +124,10 @@ func RunConcurrentKeyed[K comparable, V comparable](c Container[K, V], opt Concu
 	for _, shadow := range shadows {
 		res.LiveKeys += len(shadow)
 		for k, want := range shadow {
-			switch v, ok := c.Get(keyOf(k)); {
+			switch v, ok := c.Get(k); {
 			case !ok:
 				res.Lost++
-			case v != valOf(want):
+			case v != want:
 				res.Corrupted++
 			}
 		}

@@ -49,7 +49,6 @@ import (
 	"repro/internal/ancestry"
 	"repro/internal/bloom"
 	"repro/internal/choice"
-	"repro/internal/cmap"
 	"repro/internal/core"
 	"repro/internal/cuckoo"
 	"repro/internal/fluid"
@@ -307,50 +306,6 @@ const (
 // Deprecated: use NewTable[uint64, uint64](WithBuckets(...), ...) — see
 // the migration table in the README.
 func NewMCHTable(cfg MCHConfig) *MCHTable { return mchtable.New(cfg) }
-
-// Concurrent sharded multiple-choice map API, uint64 shim layer. The
-// implementation is the generic Map[K, V] (see typed.go); these aliases
-// keep the original uint64 surface compiling unchanged. Map is the only
-// type in this library that is safe for concurrent use by multiple
-// goroutines: one keyed hash digest per key routes to a shard (high
-// bits) and derives the d double-hashed candidate buckets inside it
-// (remaining bits), so the whole map keeps the paper's one-hash
-// discipline while writers on different shards never contend.
-//
-// With CMapConfig.MaxLoadFactor set, shards crossing the occupancy
-// watermark resize online: the bucket count doubles and entries migrate
-// incrementally (MigrateBatch per Put/Delete, or driven by
-// CMap.MigrateStep), re-deriving candidates from each entry's stored
-// digest — the same single hash evaluation — so growth never re-hashes a
-// key and reads never block on migration. CMapStats reports Resizes and
-// Migrating for monitoring growth.
-type (
-	// CMap is a concurrency-safe sharded multiple-choice hash map of
-	// uint64 keys and values.
-	//
-	// Deprecated: CMap is now just Map[uint64, uint64] — use the generic
-	// Map / NewMap, which accepts any comparable key type through a
-	// Hasher and defaults to online growth.
-	CMap = cmap.Map[uint64, uint64]
-	// CMapConfig declares a CMap, including its online-resize policy.
-	//
-	// Deprecated: the typed constructors take functional options
-	// (WithShards, WithBuckets, WithMaxLoadFactor, ...) instead of a
-	// config struct.
-	CMapConfig = cmap.Config
-	// CMapStats is an occupancy/overflow/resize snapshot aggregated
-	// across shards. It is the same type as ContainerStats, the common
-	// snapshot every typed container reports.
-	CMapStats = cmap.Stats
-)
-
-// NewCMap returns an empty concurrency-safe sharded multiple-choice map.
-//
-// Deprecated: use NewMap[uint64, uint64](...) — note NewMap enables
-// online growth by default where CMapConfig's zero MaxLoadFactor left it
-// off; pass WithMaxLoadFactor(0) for the fixed-capacity behaviour. See
-// the migration table in the README.
-func NewCMap(cfg CMapConfig) *CMap { return cmap.New(cfg) }
 
 // Keyed-hashing API for mapping real byte-string items to candidate bins.
 type (

@@ -92,7 +92,7 @@ stop_served() {
 start_served
 
 echo "serve-smoke: verified mixed workload ($OPS ops, $CONNS conns)"
-"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -conns "$CONNS" \
+"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -workers "$CONNS" \
     -read 0.6 -delete 0.1 -verify -seed 7 \
     -json "$JSON_DIR/serve_smoke_verify.json" \
     || fail "verified run reported lost or divergent pairs"
@@ -124,10 +124,10 @@ awk -v s="$SETS1" -v g="$GETS1" -v w="$WAL1" \
     || fail "core counters not live: sets=$SETS1 gets=$GETS1 wal_appends=$WAL1"
 
 echo "serve-smoke: per-key GET vs batched MGET on the resident map"
-"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -conns "$CONNS" -read 1 -delete 0 \
+"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -workers "$CONNS" -read 1 -delete 0 \
     -json "$JSON_DIR/serve_smoke_get.json" >/dev/null \
     || fail "per-key GET run failed"
-"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -conns "$CONNS" -read 1 -delete 0 -mget 16 \
+"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -workers "$CONNS" -read 1 -delete 0 -mget 16 \
     -json "$JSON_DIR/serve_smoke_mget.json" >/dev/null \
     || fail "MGET run failed"
 
@@ -165,7 +165,7 @@ echo "serve-smoke: restart recovered $RECOVERED pairs"
 # The restarted instance must still serve (plain run, not -verify: the
 # shadow maps start empty, and the recovered pairs occupy the same key
 # space — the oracle is only sound against a map its run populated).
-"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -conns "$CONNS" \
+"$DIR/loadgen" -net "$ADDR" -ops "$OPS" -workers "$CONNS" \
     -read 0.6 -delete 0.1 -seed 8 >/dev/null \
     || fail "post-restart run failed"
 stop_served

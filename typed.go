@@ -7,9 +7,10 @@ package repro
 // constructor set shared by all four families, and the common
 // Container[K, V] interface they satisfy.
 //
-// The older uint64-keyed aliases (CMap, MCHTable, CuckooTable, OpenTable
-// and their constructors, at the bottom of repro.go) remain as thin
-// deprecated shims over the same implementations.
+// The older uint64-keyed aliases (MCHTable, CuckooTable, OpenTable and
+// their constructors, in repro.go) remain as thin deprecated shims over
+// the same implementations; they are the experiment vehicles for
+// comparing hashing disciplines.
 
 import (
 	"repro/internal/cmap"

@@ -110,29 +110,6 @@ func TestTypedQuickstart(t *testing.T) {
 	}
 }
 
-// TestUint64ShimsStillCompile pins that the deprecated uint64 aliases
-// keep working unchanged (the shim layer of the redesign).
-func TestUint64ShimsStillCompile(t *testing.T) {
-	cm := repro.NewCMap(repro.CMapConfig{
-		Shards: 2, BucketsPerShard: 32, SlotsPerBucket: 2, D: 2, Seed: 1,
-	})
-	if !cm.Put(1, 2) {
-		t.Fatal("CMap put rejected")
-	}
-	var st repro.CMapStats = cm.Stats()
-	if st.Len != 1 {
-		t.Fatalf("CMapStats.Len = %d", st.Len)
-	}
-	// CMap and Map[uint64, uint64] are one type: the shim is an alias,
-	// not a wrapper.
-	var asTyped *repro.Map[uint64, uint64] = cm
-	if v, ok := asTyped.Get(1); !ok || v != 2 {
-		t.Fatalf("typed view of CMap: %d, %v", v, ok)
-	}
-	// And the common snapshot type backs both stats names.
-	var _ repro.ContainerStats = st
-}
-
 // TestMapGrowsByDefault pins NewMap's default growth policy: a map
 // started far too small absorbs a large workload without a rejection.
 func TestMapGrowsByDefault(t *testing.T) {
