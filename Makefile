@@ -20,7 +20,7 @@ BENCH_GET_CPUS ?= 1,4,8
 BENCH_GET_TIME ?= 0.5s
 BENCH_GET_JSON ?= BENCH_get.json
 
-.PHONY: all build vet lint lint-gate test race check bench bench-json bench-smoke fuzz-smoke serve-smoke clean
+.PHONY: all build vet lint lint-gate test perfbench-check race check bench bench-json bench-smoke fuzz-smoke serve-smoke clean
 
 all: check
 
@@ -60,6 +60,12 @@ lint-gate:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module (own go.mod), so `./...` at the root
+# skips it; vet and test it from its directory so a library change
+# cannot break the benchmark harness unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Race-detector pass; required for internal/cmap (concurrent shard locks,
 # the resize hand-off race test TestRaceResizeHandoff, and the exact-read
 # hunt TestStableReadsDuringResize). Kept out of `check` so the default
@@ -68,7 +74,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet lint test
+check: build vet lint test perfbench-check
 
 # Full benchmark sweep; benchfmt output saved for tracking.
 bench:

@@ -43,7 +43,6 @@ import (
 
 	"repro"
 	"repro/internal/cmap"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -89,18 +88,16 @@ func main() {
 	mapMx := cmap.NewMetrics()
 	m.Map().SetMetrics(mapMx) // before any traffic: the hot paths read it unsynchronized
 
-	var reg *obs.Registry // assigned below, before the listener exists
 	srv := wire.NewServer(&backend{m: m}, wire.Options{
 		MaxFrameBytes: *maxFrame,
 		MaxPipeline:   *maxPipe,
 		IdleTimeout:   *idle,
 		WriteTimeout:  *wto,
 		Logf:          logger.Printf,
-		// STATS carries the full registry snapshot over the wire — the
-		// same series /metrics serves.
-		ExtraStats: func(dst []byte) []byte { return reg.AppendProm(dst) },
 	})
-	reg = buildRegistry(m, dm, mapMx, srv.Counters())
+	// One registry for every layer: STATS and /metrics both encode it.
+	reg := srv.Registry()
+	registerMetrics(reg, m, dm, mapMx)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -207,10 +204,6 @@ type backend struct {
 	// keyScratch pools []string conversion buffers for GetBatch: the
 	// adapter is shared by every connection goroutine.
 	keyScratch sync.Pool // *[]string
-}
-
-func (b *backend) Get(key []byte) ([]byte, bool) {
-	return b.m.Get(string(key))
 }
 
 func (b *backend) GetBatch(keys [][]byte, vals [][]byte, found []bool) int {

@@ -39,10 +39,9 @@
 // migration work, though it can wait behind one step, bounded by
 // MigrateBatch.
 //
-// The keyed hash evaluation always happens outside the shard lock. With
-// resize enabled, the cheap geometry-dependent candidate expansion moves
-// under the lock, because a doubling may change the shard's bucket count
-// at any write.
+// The keyed hash evaluation always happens outside the shard lock; the
+// cheap geometry-dependent candidate expansion happens under it, because
+// a doubling may change the shard's bucket count at any write.
 package cmap
 
 import (
@@ -82,10 +81,9 @@ type Config struct {
 
 // shard is one lockable placement core plus its geometry. deriver
 // matches the core's current bucket count, nextDeriver the doubled
-// geometry while a resize is in flight; both are guarded by mu, except
-// that with resize disabled deriver is never reassigned and is read
-// without the lock. The trailing pad keeps adjacent shards' hot words off
-// one cache line, so uncontended shards do not false-share.
+// geometry while a resize is in flight; both are guarded by mu. The
+// trailing pad keeps adjacent shards' hot words off one cache line, so
+// uncontended shards do not false-share.
 type shard[K comparable, V any] struct {
 	//repro:lockclass cmap-shard 30
 	mu          sync.RWMutex
@@ -224,13 +222,11 @@ func (m *Map[K, V]) startResizeLocked(sh *shard[K, V]) {
 // wantsResizeLocked reports whether sh has crossed the growth watermark:
 // occupancy past MaxLoadFactor, or the overflow stash three-quarters
 // full (stash pressure precedes rejections well below the watermark on
-// unlucky shards). Caller holds sh.mu.
+// unlucky shards). Caller holds sh.mu and has checked that resize is
+// enabled and not already in flight.
 //
 //repro:requires-lock
 func (m *Map[K, V]) wantsResizeLocked(sh *shard[K, V]) bool {
-	if m.maxLoad == 0 || sh.core.Resizing() {
-		return false
-	}
 	if sh.core.Occupancy() > m.maxLoad {
 		return true
 	}
@@ -269,13 +265,17 @@ func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 //repro:noalloc
 func (m *Map[K, V]) Put(key K, val V) bool {
 	digest := m.digest(key)
-	if mx := m.metrics; mx != nil && digest&sampleMask == 0 {
-		start := nowNanos()
-		ok := m.putDigest(digest, key, val)
-		mx.PutNanos.Record(nowNanos() - start)
-		return ok
+	mx := m.metrics
+	timed := mx != nil && sampled(digest)
+	var start int64
+	if timed {
+		start = nowNanos()
 	}
-	return m.putDigest(digest, key, val)
+	ok := m.putDigest(digest, key, val)
+	if timed {
+		mx.PutNanos.Record(nowNanos() - start)
+	}
+	return ok
 }
 
 // putDigest is Put from an already computed full digest — shared by Put
@@ -289,15 +289,6 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 	var oldBuf, newBuf [maxD]uint32
 	sh, tag := m.routeDigest(digest)
 	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		// Fixed geometry: the shared deriver is immutable, so candidate
-		// expansion stays outside the lock (the pre-resize hot path).
-		sh.deriver.CandidateBins(tag, oldCands)
-		sh.mu.Lock()
-		ok := sh.core.Put(oldCands, key, val, tag)
-		sh.mu.Unlock()
-		return ok
-	}
 	sh.mu.Lock()
 	sh.deriver.CandidateBins(tag, oldCands)
 	var ok bool
@@ -307,9 +298,10 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 		ok = sh.core.PutDual(oldCands, newCands, key, val, tag)
 	} else {
 		ok = sh.core.Put(oldCands, key, val, tag)
-		if !ok || m.wantsResizeLocked(sh) {
-			// Watermark crossed — or the fixed geometry rejected the pair
-			// outright, which forces growth regardless of occupancy.
+		// Grow when the watermark is crossed, or when the geometry
+		// rejected the pair outright, regardless of occupancy. With
+		// resize disabled the map is fixed-capacity: a rejection stands.
+		if m.maxLoad > 0 && (!ok || m.wantsResizeLocked(sh)) {
 			m.startResizeLocked(sh)
 			if !ok {
 				newCands := newBuf[:m.d]
@@ -328,41 +320,44 @@ func (m *Map[K, V]) putDigest(digest uint64, key K, val V) bool {
 //
 //repro:noalloc
 func (m *Map[K, V]) Get(key K) (V, bool) {
-	sh, tag := m.route(key)
-	if mx := m.metrics; mx != nil && tag&sampleMask == 0 {
-		return m.sampledGet(mx, sh, tag, key)
+	digest := m.digest(key)
+	sh, tag := m.routeDigest(digest)
+	mx := m.metrics
+	timed := mx != nil && sampled(digest)
+	var start int64
+	if timed {
+		start = nowNanos()
 	}
-	return m.lockedGet(sh, tag, key)
+	v, depth, ok := m.lockedGet(sh, tag, key)
+	if timed {
+		mx.GetNanos.Record(nowNanos() - start)
+		if ok {
+			mx.ProbeDepth.Record(int64(depth))
+		}
+	}
+	return v, ok
 }
 
 // lockedGet is Get from an already routed key: the probe under the
-// shard's read lock, shared by Get and GetBatch.
+// shard's read lock, shared by Get and GetBatch. depth is the probe
+// depth the core reports (see mchtable.Core.GetDual).
 //
 //repro:digestcarried
 //repro:noalloc
-func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (V, bool) {
+func (m *Map[K, V]) lockedGet(sh *shard[K, V], tag uint64, key K) (v V, depth int, ok bool) {
 	var oldBuf, newBuf [maxD]uint32
 	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.mu.RLock()
-		v, ok := sh.core.Get(oldCands, key)
-		sh.mu.RUnlock()
-		return v, ok
-	}
 	sh.mu.RLock()
 	sh.deriver.CandidateBins(tag, oldCands)
-	var v V
-	var ok bool
 	if sh.core.Resizing() {
 		newCands := newBuf[:m.d]
 		sh.nextDeriver.CandidateBins(tag, newCands)
-		v, ok = sh.core.GetDual(oldCands, newCands, key)
+		v, depth, ok = sh.core.GetDual(oldCands, newCands, key)
 	} else {
-		v, ok = sh.core.Get(oldCands, key)
+		v, depth, ok = sh.core.Get(oldCands, key)
 	}
 	sh.mu.RUnlock()
-	return v, ok
+	return v, depth, ok
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket
@@ -375,13 +370,6 @@ func (m *Map[K, V]) Delete(key K) bool {
 	var oldBuf, newBuf [maxD]uint32
 	sh, tag := m.route(key)
 	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.mu.Lock()
-		ok := sh.core.Delete(oldCands, key, sh.candsOf)
-		sh.mu.Unlock()
-		return ok
-	}
 	sh.mu.Lock()
 	sh.deriver.CandidateBins(tag, oldCands)
 	var ok bool

@@ -8,19 +8,29 @@ package cmap
 // 5% overhead budget the benchmarks pin — while GetBatch times every
 // call (two clock reads amortize over the whole batch).
 //
-// The sample is selected by the operation's own SipHash digest
-// (digest & sampleMask == 0): unbiased across keys, deterministic per
-// key, and free — routing already computed the digest.
+// The sample is selected by a remix of the operation's own SipHash
+// digest (see sampled): unbiased across keys, deterministic per key,
+// and cheap — routing already computed the digest.
 
 import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
-// sampleMask selects the timed sample: operations whose digest's low
-// six bits are zero, i.e. 1 in 64.
+// sampleMask selects the timed sample: operations whose remixed
+// digest's low six bits are zero, i.e. 1 in 64.
 const sampleMask = 63
+
+// sampled reports whether the operation on digest is in the timed
+// sample. The bits come from a remix, not from the digest itself: every
+// digest bit feeds shard routing or candidate derivation, so selecting
+// on raw digest bits would pick only keys whose first candidate bucket
+// is ≡ 0 (mod 64).
+//
+//repro:noalloc
+func sampled(digest uint64) bool { return rng.Mix64(digest)&sampleMask == 0 }
 
 // baseTime anchors the sampler's monotonic clock.
 var baseTime = time.Now()
@@ -61,54 +71,3 @@ func (m *Map[K, V]) SetMetrics(mx *Metrics) { m.metrics = mx }
 
 // Metrics returns the attached instrumentation, nil if none.
 func (m *Map[K, V]) Metrics() *Metrics { return m.metrics }
-
-// sampledGet is the timed Get variant the sampler routes 1-in-64
-// lookups through. It resolves via the depth-reporting probes, so a
-// single operation yields both the latency and the probe-depth
-// observation, while the 63-in-64 unsampled Gets skip the depth
-// bookkeeping entirely.
-//
-//repro:digestcarried
-//repro:noalloc
-func (m *Map[K, V]) sampledGet(mx *Metrics, sh *shard[K, V], tag uint64, key K) (V, bool) {
-	start := nowNanos()
-	v, depth, ok := m.lockedGetDepth(sh, tag, key)
-	mx.GetNanos.Record(nowNanos() - start)
-	if ok {
-		mx.ProbeDepth.Record(int64(depth))
-	}
-	return v, ok
-}
-
-// lockedGetDepth mirrors lockedGet through the depth-reporting core
-// probes.
-//
-//repro:digestcarried
-//repro:noalloc
-func (m *Map[K, V]) lockedGetDepth(sh *shard[K, V], tag uint64, key K) (V, int, bool) {
-	var oldBuf, newBuf [maxD]uint32
-	oldCands := oldBuf[:m.d]
-	if m.maxLoad == 0 {
-		sh.deriver.CandidateBins(tag, oldCands) // immutable geometry: no lock needed
-		sh.mu.RLock()
-		v, depth, ok := sh.core.GetDepth(oldCands, key)
-		sh.mu.RUnlock()
-		return v, depth, ok
-	}
-	sh.mu.RLock()
-	sh.deriver.CandidateBins(tag, oldCands)
-	var (
-		v     V
-		depth int
-		ok    bool
-	)
-	if sh.core.Resizing() {
-		newCands := newBuf[:m.d]
-		sh.nextDeriver.CandidateBins(tag, newCands)
-		v, depth, ok = sh.core.GetDualDepth(oldCands, newCands, key)
-	} else {
-		v, depth, ok = sh.core.GetDepth(oldCands, key)
-	}
-	sh.mu.RUnlock()
-	return v, depth, ok
-}

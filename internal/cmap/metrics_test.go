@@ -75,6 +75,43 @@ func TestMetricsSampling(t *testing.T) {
 	}
 }
 
+// TestSampleIndependentOfCandidates: which operations get timed must
+// not depend on where the key lives. Selecting on raw digest bits did:
+// with a power-of-two bucket count >= 64, every sampled key's first
+// candidate bucket was ≡ 0 (mod 64) — through the in-shard tag for Get,
+// and for Put at one shard, where the tag is the digest.
+func TestSampleIndependentOfCandidates(t *testing.T) {
+	for _, shards := range []int{1, 16} {
+		m := New(Config{Shards: shards, BucketsPerShard: 1024, SlotsPerBucket: 4, D: 3, Seed: 5})
+		mx := NewMetrics()
+		m.SetMetrics(mx)
+		var s obs.HistSnapshot
+		count := func(h *obs.Histogram) uint64 { h.Snapshot(&s); return s.Count }
+		getRes, putRes := map[uint32]bool{}, map[uint32]bool{}
+		cands := make([]uint32, m.D())
+		for k := uint64(1); k <= 2048; k++ {
+			sh, tag := m.route(k)
+			sh.deriver.CandidateBins(tag, cands)
+			before := count(mx.PutNanos)
+			if !m.Put(k, k) {
+				t.Fatalf("shards=%d: Put(%d) rejected", shards, k)
+			}
+			if count(mx.PutNanos) > before {
+				putRes[cands[0]%64] = true
+			}
+			before = count(mx.GetNanos)
+			m.Get(k)
+			if count(mx.GetNanos) > before {
+				getRes[cands[0]%64] = true
+			}
+		}
+		if len(getRes) < 2 || len(putRes) < 2 {
+			t.Errorf("shards=%d: sampled keys' first candidates cover %d (Get) and %d (Put) residues mod 64, want more than one each",
+				shards, len(getRes), len(putRes))
+		}
+	}
+}
+
 // TestMetricsDetached: a nil Metrics (the default) must keep every
 // path working and record nothing anywhere.
 func TestMetricsDetached(t *testing.T) {

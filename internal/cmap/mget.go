@@ -54,7 +54,7 @@ func (m *Map[K, V]) getChunk(digests *[mgetChunk]uint64, keys []K, vals []V, fou
 	hits := 0
 	for i, key := range keys {
 		sh, tag := m.routeDigest(digests[i])
-		vals[i], found[i] = m.lockedGet(sh, tag, key)
+		vals[i], _, found[i] = m.lockedGet(sh, tag, key)
 		if found[i] {
 			hits++
 		}

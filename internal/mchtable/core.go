@@ -207,30 +207,14 @@ func (c *Core[K, V]) put(cands []uint32, key K, val V, tag uint64, capped bool) 
 }
 
 // Get returns the value stored for key, given key's candidate buckets in
-// the current geometry. While a resize is in flight use GetDual.
+// the current geometry, with the probe depth at which it resolved: the
+// index into cands of the bucket holding it, len(cands) for a stash hit,
+// -1 on a miss. The depth is the paper's which-choice-held observation
+// (internal/cmap's sampled probe-depth histogram). While a resize is in
+// flight use GetDual.
 //
 //repro:noalloc
-func (c *Core[K, V]) Get(cands []uint32, key K) (V, bool) {
-	for _, b := range cands {
-		if idx := c.findInBucket(key, int(b)); idx >= 0 {
-			return c.vals[idx], true
-		}
-	}
-	if i := c.stashFind(key); i >= 0 {
-		return c.stash[i].val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// GetDepth is Get that also reports the probe depth at which key
-// resolved: the index into cands of the bucket holding it, len(cands)
-// for a stash hit, -1 on a miss. The sampled read path in
-// internal/cmap feeds its probe-depth histogram — the paper's
-// which-choice-held distribution — from this.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetDepth(cands []uint32, key K) (V, int, bool) {
+func (c *Core[K, V]) Get(cands []uint32, key K) (V, int, bool) {
 	for depth, b := range cands {
 		if idx := c.findInBucket(key, int(b)); idx >= 0 {
 			return c.vals[idx], depth, true
@@ -238,25 +222,6 @@ func (c *Core[K, V]) GetDepth(cands []uint32, key K) (V, int, bool) {
 	}
 	if i := c.stashFind(key); i >= 0 {
 		return c.stash[i].val, len(cands), true
-	}
-	var zero V
-	return zero, -1, false
-}
-
-// GetDualDepth is GetDepth while a resize is in flight: old geometry
-// first, then the new one, with new-geometry depths offset past the
-// old probe sequence (len(oldCands)+1) so the histogram reflects the
-// total buckets examined.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetDualDepth(oldCands, newCands []uint32, key K) (V, int, bool) {
-	if v, depth, ok := c.GetDepth(oldCands, key); ok {
-		return v, depth, true
-	}
-	if next := c.next.Load(); next != nil {
-		if v, depth, ok := next.GetDepth(newCands, key); ok {
-			return v, len(oldCands) + 1 + depth, true
-		}
 	}
 	var zero V
 	return zero, -1, false
@@ -283,7 +248,7 @@ func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found [
 	keepAlive32(sum)
 	n := 0
 	for i := range keys {
-		vals[i], found[i] = c.Get(cands[i*d:(i+1)*d], keys[i])
+		vals[i], _, found[i] = c.Get(cands[i*d:(i+1)*d], keys[i])
 		if found[i] {
 			n++
 		}
@@ -470,18 +435,22 @@ func (c *Core[K, V]) promote() {
 
 // GetDual is Get while a resize is in flight: the old geometry (oldCands)
 // is consulted first, then the new one (newCands), so no key is ever
-// unreachable mid-migration. With no resize in flight it is plain Get.
+// unreachable mid-migration. New-geometry depths are offset past the old
+// probe sequence (len(oldCands)+1), so a depth counts the buckets
+// examined. With no resize in flight it is plain Get.
 //
 //repro:noalloc
-func (c *Core[K, V]) GetDual(oldCands, newCands []uint32, key K) (V, bool) {
-	if v, ok := c.Get(oldCands, key); ok {
-		return v, true
+func (c *Core[K, V]) GetDual(oldCands, newCands []uint32, key K) (V, int, bool) {
+	if v, depth, ok := c.Get(oldCands, key); ok {
+		return v, depth, true
 	}
 	if next := c.next.Load(); next != nil {
-		return next.Get(newCands, key)
+		if v, depth, ok := next.Get(newCands, key); ok {
+			return v, len(oldCands) + 1 + depth, true
+		}
 	}
 	var zero V
-	return zero, false
+	return zero, -1, false
 }
 
 // PutDual is Put while a resize is in flight. A key still resident in the

@@ -65,9 +65,9 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 			var v uint64
 			var ok bool
 			if c.Resizing() {
-				v, ok = c.GetDual(oldOp(k), newOp(k), k)
+				v, _, ok = c.GetDual(oldOp(k), newOp(k), k)
 			} else {
-				v, ok = c.Get(newOp(k), k)
+				v, _, ok = c.Get(newOp(k), k)
 			}
 			if !ok || v != k*10 {
 				t.Fatalf("step %d: key %d unreachable mid-migration (v=%d ok=%v)", steps, k, v, ok)
@@ -88,7 +88,7 @@ func TestCoreResizeMigratesEverything(t *testing.T) {
 	}
 	// The promoted core serves plain ops with new-geometry candidates.
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k); !ok || v != k*10 {
+		if v, _, ok := c.Get(newOp(k), k); !ok || v != k*10 {
 			t.Fatalf("key %d lost after promotion", k)
 		}
 		if !c.Delete(newOp(k), k, newDrain) {
@@ -125,7 +125,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending {
 		t.Fatalf("fresh insert changed the backlog: %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(100), newOp(100), 100); !ok || v != 100 {
+	if v, _, ok := c.GetDual(oldOp(100), newOp(100), 100); !ok || v != 100 {
 		t.Fatal("fresh key unreachable mid-resize")
 	}
 
@@ -136,7 +136,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Pending() != pending-1 {
 		t.Fatalf("update of an old resident did not migrate it: backlog %d -> %d", pending, c.Pending())
 	}
-	if v, ok := c.GetDual(oldOp(1), newOp(1), 1); !ok || v != 111 {
+	if v, _, ok := c.GetDual(oldOp(1), newOp(1), 1); !ok || v != 111 {
 		t.Fatalf("moved key: v=%d ok=%v", v, ok)
 	}
 
@@ -150,7 +150,7 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.DeleteDual(oldOp(2), newOp(2), 2, newDrain) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := c.GetDual(oldOp(2), newOp(2), 2); ok {
+	if _, _, ok := c.GetDual(oldOp(2), newOp(2), 2); ok {
 		t.Fatal("deleted key still reachable")
 	}
 
@@ -167,8 +167,35 @@ func TestCoreDualOpsMidResize(t *testing.T) {
 	if c.Len() != 19 {
 		t.Fatalf("Len = %d after promotion", c.Len())
 	}
-	if v, ok := c.Get(newOp(1), 1); !ok || v != 111 {
+	if v, _, ok := c.Get(newOp(1), 1); !ok || v != 111 {
 		t.Fatal("moved key lost its updated value across promotion")
+	}
+}
+
+// TestCoreGetReportsProbeDepth pins the depth Get and GetDual report:
+// the candidate index holding the key, len(cands) for a stash hit, -1
+// on a miss, and new-geometry hits offset past the old probe sequence.
+func TestCoreGetReportsProbeDepth(t *testing.T) {
+	c := NewCore[uint64, uint64](8, 1, 4)
+	oldCands, newCands := []uint32{0, 1, 2}, []uint32{5, 6, 7}
+	for k := uint64(1); k <= 4; k++ { // one-slot buckets 0, 1, 2, then the stash
+		if !c.Put(oldCands, k, k, k) {
+			t.Fatalf("put %d rejected", k)
+		}
+	}
+	for k, want := range map[uint64]int{1: 0, 2: 1, 3: 2, 4: 3, 99: -1} {
+		if _, depth, _ := c.Get(oldCands, k); depth != want {
+			t.Errorf("Get(%d) depth = %d, want %d", k, depth, want)
+		}
+	}
+	c.StartResize(16)
+	if !c.PutDual(oldCands, newCands, 9, 9, 9) {
+		t.Fatal("PutDual rejected")
+	}
+	for k, want := range map[uint64]int{2: 1, 9: len(oldCands) + 1, 99: -1} {
+		if _, depth, _ := c.GetDual(oldCands, newCands, k); depth != want {
+			t.Errorf("GetDual(%d) depth = %d, want %d", k, depth, want)
+		}
 	}
 }
 
@@ -244,7 +271,7 @@ func TestCoreGrowthMigrationNeverWedges(t *testing.T) {
 		t.Fatalf("stash %d within cap %d; the test never forced overflow", c.StashLen(), c.StashCap())
 	}
 	for _, k := range stored {
-		if v, ok := c.Get(newOp(k), k); !ok || v != k {
+		if v, _, ok := c.Get(newOp(k), k); !ok || v != k {
 			t.Fatalf("key %d lost completing a saturated growth migration", k)
 		}
 	}
@@ -286,7 +313,7 @@ func TestCoreShrinkStallsInsteadOfLosing(t *testing.T) {
 		t.Fatal("impossible shrink completed")
 	}
 	for _, k := range stored {
-		if v, ok := c.GetDual(oldOp(k), newOp(k), k); !ok || v != k {
+		if v, _, ok := c.GetDual(oldOp(k), newOp(k), k); !ok || v != k {
 			t.Fatalf("key %d lost in a stalled shrink", k)
 		}
 	}

@@ -134,7 +134,8 @@ func (t *Table) Put(key, val uint64) bool {
 
 // Get returns the value stored for key.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	return t.core.Get(t.candidates(key), key)
+	v, _, ok := t.core.Get(t.candidates(key), key)
+	return v, ok
 }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:

@@ -86,7 +86,8 @@ func (m *Map[K, V]) Put(key K, val V) bool {
 
 // Get returns the value stored for key.
 func (m *Map[K, V]) Get(key K) (V, bool) {
-	return m.core.Get(m.candidates(m.digest(key)), key)
+	v, _, ok := m.core.Get(m.candidates(m.digest(key)), key)
+	return v, ok
 }
 
 // GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:

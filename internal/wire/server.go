@@ -23,6 +23,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Backend is the key-value store a Server fronts. Keys and values are
@@ -31,7 +33,6 @@ import (
 // per key and returns the hit count; returned values need only stay
 // valid until the next Backend call on the same connection.
 type Backend interface {
-	Get(key []byte) (val []byte, ok bool)
 	GetBatch(keys [][]byte, vals [][]byte, found []bool) int
 	Set(key, val []byte) error
 	Delete(key []byte) (bool, error)
@@ -56,10 +57,6 @@ type Options struct {
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level error lines.
 	Logf func(format string, args ...any)
-	// ExtraStats, when set, appends additional telemetry text to every
-	// STATS reply after the built-in counter lines — the hook cmd/served
-	// uses to carry its full metrics-registry snapshot over the wire.
-	ExtraStats func(dst []byte) []byte
 }
 
 // DefaultMaxPipeline is the per-burst request cap when Options leaves
@@ -76,7 +73,7 @@ type Server struct {
 	backend  Backend
 	opts     Options
 	counters Counters
-	start    time.Time
+	reg      *obs.Registry
 
 	//repro:lockclass wire-conns 60
 	mu        sync.Mutex
@@ -94,17 +91,24 @@ func NewServer(backend Backend, opts Options) *Server {
 	if opts.MaxPipeline <= 0 {
 		opts.MaxPipeline = DefaultMaxPipeline
 	}
-	return &Server{
+	s := &Server{
 		backend:   backend,
 		opts:      opts,
-		start:     time.Now(),
+		reg:       obs.NewRegistry(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
+	s.counters.register(s.reg, time.Now())
+	return s
 }
 
-// Counters exposes the server's telemetry (the STATS verb's source).
+// Counters exposes the server's telemetry instruments.
 func (s *Server) Counters() *Counters { return &s.counters }
+
+// Registry returns the registry holding the server's repro_server_*
+// series. A STATS reply is its Prometheus text exposition, so series a
+// caller adds here (map, WAL) ride STATS too.
+func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Serve accepts connections on ln until Shutdown (returning nil) or an
 // accept error (returning it). Safe to call on several listeners
@@ -228,7 +232,7 @@ type connState struct {
 	vals  [][]byte
 	found []bool
 
-	stats []byte // STATS text scratch
+	stats []byte // STATS exposition scratch
 }
 
 var connStatePool = sync.Pool{New: func() any { return new(connState) }}
@@ -402,11 +406,8 @@ func (s *Server) handle(cs *connState) (fatal bool) {
 	case OpStats:
 		s.flushGets(cs)
 		s.counters.StatsOps.Add(1)
-		cs.stats = s.counters.AppendText(cs.stats[:0], time.Since(s.start))
-		if s.opts.ExtraStats != nil {
-			cs.stats = s.opts.ExtraStats(cs.stats)
-		}
-		cs.out = AppendTextReply(cs.out, cs.stats)
+		cs.stats = s.reg.AppendProm(cs.stats[:0])
+		cs.out = AppendStatsReply(cs.out, cs.stats)
 		return false
 	default:
 		// ParseRequest rejects unknown ops; unreachable.

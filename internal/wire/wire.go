@@ -28,7 +28,7 @@
 //	  SET   OK: (empty)
 //	  DEL   OK / NOT_FOUND: (empty)
 //	  MGET  OK: count uvarint, then count × (found uint8 [| valLen uvarint | val])
-//	  STATS OK: counter text (verbatim bytes)
+//	  STATS OK: Prometheus text exposition of the server's registry
 //	  ERR:  message (verbatim bytes; the connection closes after a
 //	        framing/protocol ERR, stays open after an application ERR)
 //
@@ -237,11 +237,11 @@ func AppendValueReply(dst, val []byte) []byte {
 	return endFrame(dst, m)
 }
 
-// AppendTextReply appends a framed OK reply whose body is verbatim text
-// (the STATS reply).
+// AppendStatsReply appends a framed OK STATS reply whose body is text,
+// copied verbatim.
 //
 //repro:noalloc
-func AppendTextReply(dst, text []byte) []byte {
+func AppendStatsReply(dst, text []byte) []byte {
 	dst, m := beginFrame(dst)
 	dst = append(dst, byte(StatusOK))
 	dst = append(dst, text...)

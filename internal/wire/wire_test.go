@@ -103,7 +103,7 @@ func TestReplyRoundTrip(t *testing.T) {
 	if r := parse(t, AppendStatusReply(nil, StatusOK), OpSet); r.Status != StatusOK {
 		t.Fatalf("SET ok decoded as %v", r.Status)
 	}
-	if r := parse(t, AppendTextReply(nil, []byte("a 1\nb 2\n")), OpStats); string(r.Body) != "a 1\nb 2\n" {
+	if r := parse(t, AppendStatsReply(nil, []byte("a 1\nb 2\n")), OpStats); string(r.Body) != "a 1\nb 2\n" {
 		t.Fatalf("STATS decoded as %q", r.Body)
 	}
 	if r := parse(t, AppendErrReply(nil, "boom"), OpSet); r.Status != StatusErr || string(r.Body) != "boom" {
