@@ -1,5 +1,6 @@
 # Build/test/bench entry points. The bench target emits Go benchfmt
-# output (machine-readable; benchstat- and BENCH_*.json-tooling ready).
+# output (machine-readable; benchstat-ready). End-to-end performance is
+# measured by perfbench/run.sh against the BENCHMARK.json workloads.
 
 GO ?= go
 BENCH_OUT ?= bench.out
@@ -7,20 +8,7 @@ BENCH_PATTERN ?= .
 BENCH_TIME ?= 1s
 FUZZ_TIME ?= 20s
 
-# The Get-path trajectory benchmarks: single-key Get (serial + parallel,
-# steady and mid-migration), batched GetBatch, and the Put baselines the
-# read path is traded against. BENCH_GET_CPUS exercises reader scaling;
-# benchjson drops the rows of any value above the machine's CPU count.
-# CMapGet also picks up CMapGetObsOff/On (the instrumented-vs-bare Get
-# pair pinning the metrics overhead) and ObsRecord covers the obs
-# recording primitives themselves, so BENCH_get.json carries the
-# observability cost trajectory alongside the read path's.
-BENCH_GET_PATTERN ?= CMapGet|MapSerialGet|MapSerialPut|CMapPutParallel|ObsRecord|ObsCounterAdd
-BENCH_GET_CPUS ?= 1,4,8
-BENCH_GET_TIME ?= 0.5s
-BENCH_GET_JSON ?= BENCH_get.json
-
-.PHONY: all build vet lint lint-gate test perfbench-check race check bench bench-json bench-smoke fuzz-smoke serve-smoke clean
+.PHONY: all build vet lint lint-gate test perfbench-check race check bench bench-smoke fuzz-smoke serve-smoke clean
 
 all: check
 
@@ -79,12 +67,6 @@ check: build vet lint test perfbench-check
 # Full benchmark sweep; benchfmt output saved for tracking.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . ./internal/... | tee $(BENCH_OUT)
-
-# Get/Put trajectory benchmarks as machine-readable JSON (the checked-in
-# BENCH_get.json): the cmap read/write hot paths across -cpu values, so
-# the repo carries a perf history PR over PR. CI uploads the artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_GET_PATTERN)' -benchmem -benchtime $(BENCH_GET_TIME) -cpu $(BENCH_GET_CPUS) ./internal/cmap ./internal/obs | $(GO) run ./cmd/benchjson > $(BENCH_GET_JSON)
 
 # Fast smoke pass over the hot-path benchmarks (used by CI).
 bench-smoke:

@@ -26,13 +26,14 @@ type servedMap = repro.DurableMap[string, []byte]
 // reg. Gauges pull from live structures at scrape time; counters and
 // histograms share cells with the recording hot paths.
 func registerMetrics(reg *obs.Registry, m *servedMap, dm *repro.DurableMetrics, mapMx *cmap.Metrics) {
-	// Map layer: sampled op latencies, the paper's which-choice-held
+	// Map layer: op latencies, the paper's which-choice-held
 	// probe-depth distribution, and occupancy/resize figures pulled
-	// from Stats().
-	reg.Histogram("repro_map_get_seconds", "sampled map Get latency (1-in-64 per-key sample)", mapMx.GetNanos, 1e-9)
+	// from Stats(). Every read arrives through GetBatch (the wire
+	// server coalesces GETs), so the per-key Get latency histogram is
+	// not exported: served could never fill it.
 	reg.Histogram("repro_map_put_seconds", "sampled map Put latency (1-in-64 per-key sample)", mapMx.PutNanos, 1e-9)
 	reg.Histogram("repro_map_getbatch_seconds", "map GetBatch whole-call latency (every call)", mapMx.BatchNanos, 1e-9)
-	reg.Histogram("repro_map_probe_depth", "candidate index resolving sampled Get hits (0..d-1 buckets, d stash)", mapMx.ProbeDepth, 1)
+	reg.Histogram("repro_map_probe_depth", "candidate index resolving sampled GetBatch hits (0..d-1 buckets, d stash)", mapMx.ProbeDepth, 1)
 	stat := func(f func(repro.ContainerStats) float64) func() float64 {
 		return func() float64 { return f(m.Stats()) }
 	}

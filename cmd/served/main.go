@@ -10,9 +10,9 @@
 //     before the reply frame was queued. With -wal-sync=false the ack
 //     only promises the record was handed to the kernel.
 //   - Pipelined GETs arriving in one burst are coalesced into a single
-//     GetBatch call against the map — the probes' cache misses overlap
-//     exactly as in the in-process batched lookup tier, so deep client
-//     pipelines recover most of the per-op network framing cost.
+//     GetBatch call against the map — one backend call and one hashing
+//     pass per burst, so deep client pipelines recover most of the
+//     per-op network framing cost.
 //   - Replies are strictly in request order; a connection observes its
 //     own writes.
 //

@@ -72,15 +72,15 @@ func BenchmarkCMapGetParallel(b *testing.B) {
 }
 
 // BenchmarkCMapGetBatch is the batched-lookup acceptance gate: resolving
-// a batch through GetBatch (hash the whole batch, prefetch every key's
-// candidate buckets, then probe) against the same keys resolved by a
-// per-key Get loop. ns/op is per KEY, not per batch, so the two series
-// compare directly; the acceptance bar is GetBatch ≥ 1.3x the loop at
-// batch ≥ 16.
+// a batch through GetBatch (hash a chunk of keys in one pass, then route
+// and probe each key) against the same keys resolved by a per-key Get
+// loop. ns/op is per KEY, not per batch, so the two series compare
+// directly; the acceptance bar is GetBatch ≥ 1.3x the loop at batch ≥ 16.
 //
 // The map is deliberately larger than the other Get benchmarks' (1M keys
-// over ~100 MB of shard arrays): batching exists to overlap DRAM misses,
-// and on a cache-resident map both paths just measure hashing.
+// over ~100 MB of shard arrays), so both series pay the DRAM misses of a
+// served-sized map; on a cache-resident map both paths just measure
+// hashing.
 func BenchmarkCMapGetBatch(b *testing.B) {
 	const mask = 1<<20 - 1
 	m := New(Config{

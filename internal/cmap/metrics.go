@@ -6,11 +6,14 @@ package cmap
 // and Put time a 1-in-64 sample of operations — two clock reads cost
 // ~50ns, which full timing would put on every ~90ns Get, blowing the
 // 5% overhead budget the benchmarks pin — while GetBatch times every
-// call (two clock reads amortize over the whole batch).
+// call (two clock reads amortize over the whole batch). Get and
+// GetBatch both record the probe depth of every sampled hit, so the
+// which-choice distribution fills under batched traffic too.
 //
 // The sample is selected by a remix of the operation's own SipHash
 // digest (see sampled): unbiased across keys, deterministic per key,
-// and cheap — routing already computed the digest.
+// and cheap — routing (or GetBatch's hashing pass) already computed the
+// digest.
 
 import (
 	"time"
@@ -51,7 +54,7 @@ type Metrics struct {
 	GetNanos   *obs.Histogram // sampled Get wall latency
 	PutNanos   *obs.Histogram // sampled Put wall latency
 	BatchNanos *obs.Histogram // whole-call GetBatch wall latency
-	ProbeDepth *obs.Histogram // candidate index resolving sampled Get hits
+	ProbeDepth *obs.Histogram // candidate index resolving sampled Get and GetBatch hits
 }
 
 // NewMetrics returns a Metrics with every instrument allocated.

@@ -75,6 +75,59 @@ func TestMetricsSampling(t *testing.T) {
 	}
 }
 
+// TestGetBatchProbeDepth: GetBatch alone must feed the probe-depth
+// histogram — one observation per hit whose digest is in Get's sample,
+// none for misses — and with no resize running every depth is a
+// current-geometry candidate index or the stash, i.e. in [0, d].
+func TestGetBatchProbeDepth(t *testing.T) {
+	m := New(Config{Shards: 4, BucketsPerShard: 256, SlotsPerBucket: 4, D: 3, Seed: 33})
+	mx := NewMetrics()
+	m.SetMetrics(mx)
+	const n = 3000 // ~73% of the fixed 4096 slots; MaxLoadFactor 0 never resizes
+	for k := uint64(1); k <= n; k++ {
+		if !m.Put(k, k) {
+			t.Fatalf("Put(%d) rejected", k)
+		}
+	}
+	// Keys 1..n hit, n+1..2n miss; batches straddle mgetChunk.
+	keys := make([]uint64, 2*n)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	vals := make([]uint64, 100)
+	found := make([]bool, len(vals))
+	const sweeps = 3
+	var want uint64
+	for sweep := 0; sweep < sweeps; sweep++ {
+		for off := 0; off < len(keys); off += len(vals) {
+			batch := keys[off:min(off+len(vals), len(keys))]
+			m.GetBatch(batch, vals, found)
+			for i, k := range batch {
+				if found[i] != (k <= n) {
+					t.Fatalf("GetBatch(%d) found = %v", k, found[i])
+				}
+				if found[i] && sampled(m.digest(k)) {
+					want++
+				}
+			}
+		}
+	}
+	var s obs.HistSnapshot
+	mx.ProbeDepth.Snapshot(&s)
+	if want == 0 {
+		t.Fatal("no sampled hits among the swept keys")
+	}
+	if s.Count != want {
+		t.Errorf("ProbeDepth recorded %d observations, want %d (sampled GetBatch hits)", s.Count, want)
+	}
+	if le := s.CountLE(uint64(m.D())); le != s.Count {
+		t.Errorf("%d of %d probe depths exceed d = %d with no resize running", s.Count-le, s.Count, m.D())
+	}
+	if mx.GetNanos.Snapshot(&s); s.Count != 0 {
+		t.Errorf("GetBatch-only sweeps recorded %d Get latency samples", s.Count)
+	}
+}
+
 // TestSampleIndependentOfCandidates: which operations get timed must
 // not depend on where the key lives. Selecting on raw digest bits did:
 // with a power-of-two bucket count >= 64, every sampled key's first

@@ -3,10 +3,10 @@ package cmap
 // Batched lookups. GetBatch hashes a chunk of keys in one pass
 // (keyed.DigestBatch — pure compute, no memory traffic), then routes
 // each digest to its shard and probes it under the shard's read lock,
-// exactly as Get does. Each key's hit/miss is individually consistent —
-// a Get's guarantee — but different keys may observe different
-// instants; a batch is not a snapshot. Chunking bounds the digest
-// scratch to a stack array.
+// exactly as Get does, probe-depth sample included. Each key's hit/miss
+// is individually consistent — a Get's guarantee — but different keys
+// may observe different instants; a batch is not a snapshot. Chunking
+// bounds the digest scratch to a stack array.
 
 import "repro/internal/keyed"
 
@@ -46,17 +46,23 @@ func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 }
 
 // getChunk routes and probes one chunk (len(keys) <= mgetChunk,
-// digests[i] already computed for keys[i]).
+// digests[i] already computed for keys[i]). With Metrics attached it
+// records the probe depth of every hit in Get's sample (see sampled).
 //
 //repro:digestcarried
 //repro:noalloc
 func (m *Map[K, V]) getChunk(digests *[mgetChunk]uint64, keys []K, vals []V, found []bool) int {
+	mx := m.metrics
 	hits := 0
 	for i, key := range keys {
 		sh, tag := m.routeDigest(digests[i])
-		vals[i], _, found[i] = m.lockedGet(sh, tag, key)
+		var depth int
+		vals[i], depth, found[i] = m.lockedGet(sh, tag, key)
 		if found[i] {
 			hits++
+			if mx != nil && sampled(digests[i]) {
+				mx.ProbeDepth.Record(int64(depth))
+			}
 		}
 	}
 	return hits

@@ -5,9 +5,7 @@ package cmap
 // must match the pre-instrumentation MapSerialGet trajectory (a nil
 // check is the only new work on the path) and "on" must stay within
 // 5% of it — the digest-keyed 1-in-64 sample is the mechanism; timing
-// every op would cost two clock reads per ~90ns lookup. Both cases
-// run under BENCH_get.json (the CMapGet pattern matches), so the
-// comparison is part of the repo's tracked perf history.
+// every op would cost two clock reads per ~90ns lookup.
 
 import (
 	"testing"

@@ -62,11 +62,11 @@ type Container[K comparable, V any] interface {
 }
 
 // GetBatchSerial implements the GetBatch contract with one Get per key —
-// the adapter for table families without a batched probe path (cuckoo,
-// open addressing), so the Container interface stays uniform while only
-// the multiple-choice cores carry real batch machinery. It panics if
-// vals or found cannot hold len(keys) results, matching the batched
-// implementations.
+// the adapter for the single-threaded families (mchtable, cuckoo, open
+// addressing), so the Container interface stays uniform while the one
+// batched read path lives in the concurrent map (internal/cmap). It
+// panics if vals or found cannot hold len(keys) results, matching that
+// batched implementation.
 func GetBatchSerial[K comparable, V any](get func(K) (V, bool), keys []K, vals []V, found []bool) int {
 	if len(vals) < len(keys) || len(found) < len(keys) {
 		panic("container: GetBatchSerial result slices do not cover the key batch")

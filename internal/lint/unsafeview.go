@@ -1,11 +1,10 @@
 package lint
 
 // unsafeview: the library's unsafe.Pointer uses are all byte views — a
-// hasher viewing a struct's bytes in place, a codec copying through
-// them, a batched lookup touching the first word of a slot. Each is
-// sound only behind a gate that proved the viewed layout: BytesOf's
-// byteIdentity, ViewCodec's noIndirection, the prefetch's alignment
-// checks. This analyzer pins that shape mechanically:
+// hasher viewing a string's or a struct's bytes in place, a codec
+// copying through them. Each is sound only behind a gate that proved the
+// viewed layout: BytesOf's byteIdentity, ViewCodec's noIndirection. This
+// analyzer pins that shape mechanically:
 //
 //   - every use of unsafe.Pointer / Add / Slice / String / SliceData /
 //     StringData must sit in a file annotated //repro:unsafeview

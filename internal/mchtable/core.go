@@ -227,35 +227,6 @@ func (c *Core[K, V]) Get(cands []uint32, key K) (V, int, bool) {
 	return zero, -1, false
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) against the current
-// geometry, given each key's candidate buckets in cands[i*d:(i+1)*d]: a
-// prefetch pass touches every candidate bucket's cache lines first, so
-// the batch's random memory accesses overlap instead of serializing
-// probe-by-probe, then each key resolves with the ordinary probe
-// (buckets, then stash). It returns the number found. Like Get, GetBatch
-// addresses the current geometry only; the resize-aware concurrent
-// batch loop lives in internal/cmap.
-//
-//repro:noalloc
-func (c *Core[K, V]) GetBatch(cands []uint32, d int, keys []K, vals []V, found []bool) int {
-	if d <= 0 || len(cands) < len(keys)*d || len(vals) < len(keys) || len(found) < len(keys) {
-		panic("mchtable: GetBatch slice shapes do not cover the key batch")
-	}
-	var sum uint32
-	for i := range keys {
-		sum += c.prefetch(cands[i*d : (i+1)*d])
-	}
-	keepAlive32(sum)
-	n := 0
-	for i := range keys {
-		vals[i], _, found[i] = c.Get(cands[i*d:(i+1)*d], keys[i])
-		if found[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // Delete removes key, reporting whether it was present. Freeing a bucket
 // slot triggers a stash drain: any stashed entry with that bucket among
 // its candidates (re-derived from its stored tag through candsOf) moves

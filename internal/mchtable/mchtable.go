@@ -72,9 +72,6 @@ type Table struct {
 	// Core.Delete's stash-drain callback recomputes candidates of *stashed*
 	// keys into scratch — the two sets must not alias.
 	delScratch []uint32
-	// batchScratch holds a whole GetBatch's candidate buckets, key-major;
-	// it grows to the largest batch seen and is reused across calls.
-	batchScratch []uint32
 }
 
 // New returns an empty table. It panics on invalid configuration.
@@ -138,21 +135,10 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:
-// every key's candidate buckets are derived up front and their cache
-// lines prefetched before the first probe, overlapping the random memory
-// accesses that dominate lookup cost. It returns the number found. vals
-// and found must each hold at least len(keys) entries.
+// GetBatch resolves keys[i] → (vals[i], found[i]) with per-key probes
+// (see Map.GetBatch).
 func (t *Table) GetBatch(keys []uint64, vals []uint64, found []bool) int {
-	d := t.cfg.D
-	if cap(t.batchScratch) < len(keys)*d {
-		t.batchScratch = make([]uint32, len(keys)*d)
-	}
-	cands := t.batchScratch[:len(keys)*d]
-	for i, k := range keys {
-		copy(cands[i*d:(i+1)*d], t.candidates(k))
-	}
-	return t.core.GetBatch(cands, d, keys, vals, found)
+	return container.GetBatchSerial(t.Get, keys, vals, found)
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket

@@ -30,10 +30,7 @@ type Map[K comparable, V any] struct {
 	// Core.Delete's stash-drain callback recomputes candidates of *stashed*
 	// keys into scratch — the two sets must not alias.
 	delScratch []uint32
-	// batchScratch holds a whole GetBatch's candidate buckets, key-major;
-	// it grows to the largest batch seen and is reused across calls.
-	batchScratch []uint32
-	candsOf      func(tag uint64) []uint32
+	candsOf    func(tag uint64) []uint32
 }
 
 // NewMap returns an empty typed table. The hasher is the table's single
@@ -90,22 +87,11 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 	return v, ok
 }
 
-// GetBatch resolves keys[i] → (vals[i], found[i]) in one batched pass:
-// every key is digested and its candidate buckets derived up front, the
-// candidate cache lines are prefetched before the first probe, and only
-// then does each key resolve — overlapping the random memory accesses
-// that dominate lookup cost. It returns the number found. vals and found
-// must each hold at least len(keys) entries.
+// GetBatch resolves keys[i] → (vals[i], found[i]) with per-key probes,
+// returning the number found; the batched, resize-aware read path lives
+// in internal/cmap.
 func (m *Map[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
-	d := len(m.scratch)
-	if cap(m.batchScratch) < len(keys)*d {
-		m.batchScratch = make([]uint32, len(keys)*d)
-	}
-	cands := m.batchScratch[:len(keys)*d]
-	for i, k := range keys {
-		m.deriver.CandidateBins(m.digest(k), cands[i*d:(i+1)*d])
-	}
-	return m.core.GetBatch(cands, d, keys, vals, found)
+	return container.GetBatchSerial(m.Get, keys, vals, found)
 }
 
 // Delete removes key, reporting whether it was present. Freeing a bucket

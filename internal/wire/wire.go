@@ -37,8 +37,8 @@
 // decodes as many pipelined requests as one socket read yielded and
 // coalesces each run of consecutive GETs (and every MGET) into one
 // batched-backend lookup — the per-connection batching that lets the
-// map's phased GetBatch tier amortize hashing and overlap cache misses
-// across *unrelated* clients.
+// map's GetBatch amortize hashing and per-call costs across a client's
+// pipeline.
 //
 // Every parser here trusts nothing: lengths are bounded before use, a
 // CRC mismatch or malformed payload is an error (never a panic, never

@@ -122,6 +122,12 @@ WAL1=$(metric repro_wal_appends_total "$DIR/metrics1")
 awk -v s="$SETS1" -v g="$GETS1" -v w="$WAL1" \
     'BEGIN { exit !(s > 0 && g > 0 && w > 0) }' \
     || fail "core counters not live: sets=$SETS1 gets=$GETS1 wal_appends=$WAL1"
+# Every GET reaches the map through GetBatch, so a zero probe-depth
+# count means the batched read path dropped the paper's which-choice
+# signal.
+DEPTH1=$(metric repro_map_probe_depth_count "$DIR/metrics1")
+awk -v v="$DEPTH1" 'BEGIN { exit !(v > 0) }' \
+    || fail "repro_map_probe_depth_count '$DEPTH1' after $GETS1 GETs"
 
 echo "serve-smoke: per-key GET vs batched MGET on the resident map"
 "$DIR/loadgen" -net "$ADDR" -ops "$OPS" -workers "$CONNS" -read 1 -delete 0 \
