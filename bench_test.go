@@ -357,9 +357,9 @@ func BenchmarkSipHash24(b *testing.B) {
 	}
 }
 
-// BenchmarkMCHTable measures the multiple-choice hash table under both
+// BenchmarkMCHModes measures the multiple-choice hash table under both
 // hashing pipelines — the d-hashes-vs-one ablation on a real structure.
-func BenchmarkMCHTable(b *testing.B) {
+func BenchmarkMCHModes(b *testing.B) {
 	for name, mode := range map[string]mchtable.HashMode{
 		"independent-hashes": mchtable.IndependentHashes,
 		"double-hashing":     mchtable.DoubleHashing,

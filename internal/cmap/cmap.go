@@ -212,7 +212,7 @@ func (m *Map[K, V]) routeDigest(digest uint64) (*shard[K, V], uint64) {
 
 // startResizeLocked begins doubling sh. Caller holds sh.mu.
 //
-//repro:requires-lock
+//repro:requires-lock cmap-shard
 func (m *Map[K, V]) startResizeLocked(sh *shard[K, V]) {
 	newBuckets := 2 * sh.core.Buckets()
 	sh.nextDeriver = hashes.NewDeriver(newBuckets)
@@ -225,7 +225,7 @@ func (m *Map[K, V]) startResizeLocked(sh *shard[K, V]) {
 // unlucky shards). Caller holds sh.mu and has checked that resize is
 // enabled and not already in flight.
 //
-//repro:requires-lock
+//repro:requires-lock cmap-shard
 func (m *Map[K, V]) wantsResizeLocked(sh *shard[K, V]) bool {
 	if sh.core.Occupancy() > m.maxLoad {
 		return true
@@ -238,7 +238,7 @@ func (m *Map[K, V]) wantsResizeLocked(sh *shard[K, V]) bool {
 // keeps the lock-hold O(n)), promoting the new geometry when the backlog
 // empties. Caller holds sh.mu. Returns the work performed.
 //
-//repro:requires-lock
+//repro:requires-lock cmap-shard
 //repro:digestcarried
 func (m *Map[K, V]) migrateLocked(sh *shard[K, V], n int) int {
 	if !sh.core.Resizing() {

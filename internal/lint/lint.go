@@ -14,8 +14,6 @@
 //     //repro:unsafeview, dominated by a pointer-free/size gate.
 //   - digestflow: //repro:digestcarried functions never re-hash — they
 //     re-derive placement from stored digests only.
-//   - lockheld: //repro:requires-lock functions are reached only from
-//     callers that visibly hold the shard lock.
 //   - fsyncorder: in //repro:poisons functions, every error a
 //     //repro:durable operation (fsync/rename/truncate) returns is
 //     poisoned — a sticky-error store or cleanup action — before it can
@@ -25,7 +23,9 @@
 //     a lying length prefix cannot force allocation.
 //   - lockorder: //repro:lockclass ranks order every lock-acquisition
 //     edge; rank inversions and cycles are reported before they can
-//     deadlock.
+//     deadlock. The same held-set dataflow, run as a must-hold analysis,
+//     checks that a //repro:requires-lock <class> function is called
+//     only where that class is held exclusively on every path.
 //
 // The last three are path-sensitive: they run over per-function
 // control-flow graphs (repro/internal/lint/cfg) with dominance and
@@ -220,5 +220,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Analyzers returns the full reprolint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoAlloc, UnsafeView, DigestFlow, LockHeld, FsyncOrder, BoundedInput, LockOrder}
+	return []*Analyzer{NoAlloc, UnsafeView, DigestFlow, FsyncOrder, BoundedInput, LockOrder}
 }

@@ -1,35 +1,67 @@
 package lint_test
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
 	"repro/internal/lint/linttest"
 )
 
-// TestAnalyzers runs each analyzer over its golden testdata: a
-// `flagged` package where every violation carries a // want comment,
-// and a `clean` package where any finding is a false positive.
+// TestAnalyzers runs each registered analyzer over its golden testdata,
+// testdata/<Name>: a `flagged` package where every violation carries a
+// // want comment, and a `clean` package where any finding is a false
+// positive. Every testdata directory must belong to a registered
+// analyzer, so the suite and its goldens cannot drift apart.
 func TestAnalyzers(t *testing.T) {
-	cases := []struct {
-		analyzer *lint.Analyzer
-		dir      string
-	}{
-		{lint.NoAlloc, "noalloc"},
-		{lint.UnsafeView, "unsafeview"},
-		{lint.DigestFlow, "digestflow"},
-		{lint.LockHeld, "lockheld"},
-		{lint.FsyncOrder, "fsyncorder"},
-		{lint.BoundedInput, "boundedinput"},
-		{lint.LockOrder, "lockorder"},
-	}
-	for _, tc := range cases {
+	registered := map[string]bool{}
+	for _, a := range lint.Analyzers() {
+		registered[a.Name] = true
 		for _, sub := range []string{"flagged", "clean"} {
-			t.Run(tc.analyzer.Name+"/"+sub, func(t *testing.T) {
-				linttest.Run(t, filepath.Join("testdata", tc.dir, sub), tc.analyzer)
+			t.Run(a.Name+"/"+sub, func(t *testing.T) {
+				linttest.Run(t, filepath.Join("testdata", a.Name, sub), a)
 			})
 		}
+	}
+	dirs, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !registered[d.Name()] {
+			t.Errorf("testdata/%s belongs to no analyzer in lint.Analyzers()", d.Name())
+		}
+	}
+}
+
+// TestRequiresLockNeedsClass: a //repro:requires-lock naming no class,
+// or one the package does not declare, is reported at the directive,
+// also in a package that declares no lock class at all.
+func TestRequiresLockNeedsClass(t *testing.T) {
+	dir := t.TempDir()
+	src := "package p\n\n//repro:requires-lock\nfunc missing() {}\n\n//repro:requires-lock shard\nfunc unknown() {}\n"
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := lint.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.LockOrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "//repro:requires-lock wants `<class>`") {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
+		lines = append(lines, d.Pos.Line)
+	}
+	if len(lines) != 2 || lines[0] != 3 || lines[1] != 6 {
+		t.Errorf("diagnostics on lines %v, want [3 6]", lines)
 	}
 }
 

@@ -25,6 +25,15 @@ package lint
 //   - calls of same-package functions add their transitively-acquired
 //     classes as edges from everything currently held.
 //
+// The same transfer, run a second time as a must-hold analysis (join is
+// intersection), checks //repro:requires-lock <class>: a call of such a
+// function is legal only where <class> is held exclusively on every
+// path to it. Only Lock sets a must-bit — an RLock does not meet a
+// write-side obligation — and a requires-lock function starts with its
+// own class held, so the obligation propagates outward to the caller
+// that does acquire. A function literal starts with nothing held: it may
+// run on another goroutine, or after its creator unlocks.
+//
 // Classes are per-package (ranks live with the fields), and the rank
 // bands are a module-wide convention documented in ANNOTATIONS.md so
 // cross-package nesting — DurableMap(10,20) → cmap shard(30) → WAL
@@ -44,7 +53,7 @@ import (
 // LockOrder is the lockorder analyzer.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "//repro:lockclass ranks strictly increase along every lock-acquisition edge; no cycles",
+	Doc:  "//repro:lockclass ranks strictly increase along every lock-acquisition edge, with no cycles; //repro:requires-lock functions are called only with their class held",
 	Run:  runLockOrder,
 }
 
@@ -55,38 +64,35 @@ type lockClass struct {
 	id   int // bit position in held-set masks
 }
 
-type lockEdge struct {
-	from, to int
-	pos      token.Pos
-}
-
 func runLockOrder(p *Pass) error {
 	lc := collectLockClasses(p)
-	if len(lc.classes) == 0 {
-		return nil
-	}
 	decls := funcDecls(p)
 	acq := acquireSummaries(p, lc, decls)
 
-	// Record acquisition edges across every function at dataflow fixpoint.
+	// Record acquisition edges across every function at dataflow fixpoint,
+	// and check each requires-lock call against the must-held set.
 	edges := map[[2]int]token.Pos{}
 	for _, fd := range sortedDecls(decls) {
 		if fd.Body == nil {
 			continue
 		}
-		recordEdges(p, fd, lc, decls, acq, edges)
+		lf := &lockFlow{p: p, ci: lc, locals: localAliases(p, fd, lc), decls: decls, acq: acq}
+		recordEdges(lf, fd, edges)
+		checkRequiresLock(lf, fd)
 	}
 
 	reportLockEdges(p, lc, edges)
 	return nil
 }
 
-// classIndex resolves annotated mutex fields and accessor functions.
+// classIndex resolves annotated mutex fields and accessor functions, and
+// the class each //repro:requires-lock function needs held.
 type classIndex struct {
-	classes []*lockClass
-	byName  map[string]*lockClass
-	fields  map[*types.Var]*lockClass  // annotated mutex fields (Origin)
-	funcs   map[*types.Func]*lockClass // annotated accessor functions
+	classes  []*lockClass
+	byName   map[string]*lockClass
+	fields   map[*types.Var]*lockClass    // annotated mutex fields (Origin)
+	funcs    map[*types.Func]*lockClass   // annotated accessor functions
+	requires map[*ast.FuncDecl]*lockClass // //repro:requires-lock functions
 }
 
 func (ci *classIndex) intern(p *Pass, name string, rank int, pos token.Pos) *lockClass {
@@ -104,9 +110,10 @@ func (ci *classIndex) intern(p *Pass, name string, rank int, pos token.Pos) *loc
 
 func collectLockClasses(p *Pass) *classIndex {
 	ci := &classIndex{
-		byName: map[string]*lockClass{},
-		fields: map[*types.Var]*lockClass{},
-		funcs:  map[*types.Func]*lockClass{},
+		byName:   map[string]*lockClass{},
+		fields:   map[*types.Var]*lockClass{},
+		funcs:    map[*types.Func]*lockClass{},
+		requires: map[*ast.FuncDecl]*lockClass{},
 	}
 	dirs := p.Directives()
 	// Annotated struct fields.
@@ -147,6 +154,17 @@ func collectLockClasses(p *Pass) *classIndex {
 			ci.funcs[fn.Origin()] = ci.intern(p, name, rank, dir.Pos)
 		}
 	}
+	// Requires-lock functions, once every class is known.
+	for _, fd := range p.FuncDecls() {
+		if dir, ok := dirs.Func(fd, DirRequiresLck); ok {
+			c, ok := ci.byName[dir.Args]
+			if !ok {
+				p.Reportf(dir.Pos, "//repro:requires-lock wants `<class>` naming a //repro:lockclass of this package, got %q", dir.Args)
+				continue
+			}
+			ci.requires[fd] = c
+		}
+	}
 	return ci
 }
 
@@ -166,10 +184,15 @@ func parseLockClassArgs(args string) (string, int, bool) {
 type lockEvent struct {
 	class   *lockClass
 	acquire bool
+	shared  bool // RLock/RUnlock
 	// summary holds transitively-acquired classes for plain in-package
 	// calls (class == nil then).
 	summary uint64
-	pos     token.Pos
+	// needs is the class a //repro:requires-lock callee must be called
+	// with, and callee its name.
+	needs  *lockClass
+	callee string
+	pos    token.Pos
 }
 
 // resolveLockEvent classifies a call expression, using the per-function
@@ -181,7 +204,8 @@ func resolveLockEvent(p *Pass, call *ast.CallExpr, ci *classIndex, locals map[ty
 		isRel := name == "Unlock" || name == "RUnlock"
 		if isAcq || isRel {
 			if c := classOfMutexExpr(p, sel.X, ci, locals); c != nil {
-				return lockEvent{class: c, acquire: isAcq, pos: call.Pos()}, true
+				shared := name == "RLock" || name == "RUnlock"
+				return lockEvent{class: c, acquire: isAcq, shared: shared, pos: call.Pos()}, true
 			}
 		}
 	}
@@ -190,8 +214,9 @@ func resolveLockEvent(p *Pass, call *ast.CallExpr, ci *classIndex, locals map[ty
 		return lockEvent{}, false
 	}
 	if fd, ok := decls[fn.Origin()]; ok {
-		if sum := acq[fd]; sum != 0 {
-			return lockEvent{summary: sum, pos: call.Pos()}, true
+		ev := lockEvent{summary: acq[fd], needs: ci.requires[fd], callee: fn.Name(), pos: call.Pos()}
+		if ev.summary != 0 || ev.needs != nil {
+			return ev, true
 		}
 	}
 	return lockEvent{}, false
@@ -308,91 +333,129 @@ func acquireSummaries(p *Pass, ci *classIndex, decls map[*types.Func]*ast.FuncDe
 	return acq
 }
 
-// recordEdges runs the held-set dataflow over fd and records a
-// held → acquired edge for every acquisition made with locks held.
-func recordEdges(p *Pass, fd *ast.FuncDecl, ci *classIndex, decls map[*types.Func]*ast.FuncDecl, acq map[*ast.FuncDecl]uint64, edges map[[2]int]token.Pos) {
-	g := p.CFG(fd)
-	if g == nil {
-		return
-	}
-	locals := localAliases(p, fd, ci)
+// lockFlow is one function's context for the held-set dataflows.
+type lockFlow struct {
+	p      *Pass
+	ci     *classIndex
+	locals map[types.Object]*lockClass
+	decls  map[*types.Func]*ast.FuncDecl
+	acq    map[*ast.FuncDecl]uint64
+}
 
-	// transfer applies one node's lock events to a held mask; when
-	// record is set, acquisition edges land in the edges map.
-	apply := func(n ast.Node, held uint64, record bool) uint64 {
-		deferred := false
-		if _, ok := n.(*ast.DeferStmt); ok {
-			deferred = true
+// apply is the transfer for one CFG node: it applies n's lock events in
+// order to the held mask, calling visit (when non-nil) with each event
+// and the mask held just before it. With must set only an exclusive Lock
+// sets a class bit; otherwise Lock and RLock both do.
+func (lf *lockFlow) apply(n ast.Node, held uint64, must bool, visit func(lockEvent, uint64)) uint64 {
+	_, deferred := n.(*ast.DeferStmt)
+	inspectNoFuncLit(n, func(d ast.Node) {
+		call, ok := d.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		inspectNoFuncLit(n, func(d ast.Node) {
-			call, ok := d.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			ev, ok := resolveLockEvent(p, call, ci, locals, decls, acq)
-			if !ok {
-				return
-			}
-			switch {
-			case ev.class != nil && ev.acquire:
-				if record {
-					for _, c := range ci.classes {
-						if held&(1<<c.id) != 0 {
-							key := [2]int{c.id, ev.class.id}
-							if _, seen := edges[key]; !seen {
-								edges[key] = ev.pos
-							}
-						}
-					}
-				}
+		ev, ok := resolveLockEvent(lf.p, call, lf.ci, lf.locals, lf.decls, lf.acq)
+		if !ok {
+			return
+		}
+		if visit != nil {
+			visit(ev, held)
+		}
+		switch {
+		case ev.class == nil: // an in-package call: the held set is unchanged
+		case ev.acquire:
+			if !must || !ev.shared {
 				held |= 1 << ev.class.id
-			case ev.class != nil && !ev.acquire:
-				if !deferred {
-					held &^= 1 << ev.class.id // a deferred unlock holds to exit
-				}
-			case ev.summary != 0:
-				if record {
-					for _, c := range ci.classes {
-						if held&(1<<c.id) == 0 {
-							continue
-						}
-						for _, t := range ci.classes {
-							if ev.summary&(1<<t.id) != 0 {
-								key := [2]int{c.id, t.id}
-								if _, seen := edges[key]; !seen {
-									edges[key] = ev.pos
-								}
-							}
-						}
-					}
-				}
 			}
-		})
-		return held
-	}
+		case !deferred:
+			held &^= 1 << ev.class.id // a deferred unlock holds to exit
+		}
+	})
+	return held
+}
 
+// solve runs apply over g to fixpoint from the entry mask — a may-hold
+// analysis (join is union) or, with must set, a must-hold one (join is
+// intersection, every other block starting from all-ones) — then replays
+// each reachable block once with visit.
+func (lf *lockFlow) solve(g *cfg.Graph, must bool, entry uint64, visit func(lockEvent, uint64)) {
+	init, join := uint64(0), func(a, b uint64) uint64 { return a | b }
+	if must {
+		init, join = ^uint64(0), func(a, b uint64) uint64 { return a & b }
+	}
 	in := cfg.Forward(g, cfg.ForwardProblem[uint64]{
-		Entry: 0,
-		Init:  func(*cfg.Block) uint64 { return 0 },
-		Join:  func(a, b uint64) uint64 { return a | b },
+		Entry: entry,
+		Init:  func(*cfg.Block) uint64 { return init },
+		Join:  join,
 		Equal: func(a, b uint64) bool { return a == b },
 		Transfer: func(b *cfg.Block, held uint64) uint64 {
 			for _, n := range b.Nodes {
-				held = apply(n, held, false)
+				held = lf.apply(n, held, must, nil)
 			}
 			return held
 		},
 	})
-	// One recording pass with the fixpoint in-states.
 	for _, b := range g.Blocks {
 		if !g.Reachable(b) {
 			continue
 		}
 		held := in[b.Index]
 		for _, n := range b.Nodes {
-			held = apply(n, held, true)
+			held = lf.apply(n, held, must, visit)
 		}
 	}
+}
+
+// recordEdges runs the may-held dataflow over fd and records a
+// held → acquired edge for every acquisition made with locks held.
+func recordEdges(lf *lockFlow, fd *ast.FuncDecl, edges map[[2]int]token.Pos) {
+	g := lf.p.CFG(fd)
+	if g == nil {
+		return
+	}
+	lf.solve(g, false, 0, func(ev lockEvent, held uint64) {
+		acquired := ev.summary
+		if ev.class != nil && ev.acquire {
+			acquired |= 1 << ev.class.id
+		}
+		for _, c := range lf.ci.classes {
+			if held&(1<<c.id) == 0 {
+				continue
+			}
+			for _, t := range lf.ci.classes {
+				if acquired&(1<<t.id) == 0 {
+					continue
+				}
+				key := [2]int{c.id, t.id}
+				if _, seen := edges[key]; !seen {
+					edges[key] = ev.pos
+				}
+			}
+		}
+	})
+}
+
+// checkRequiresLock runs the must-held dataflow over fd's body and over
+// each function literal in it, reporting every requires-lock call whose
+// class is not held exclusively on every path to it.
+func checkRequiresLock(lf *lockFlow, fd *ast.FuncDecl) {
+	check := func(g *cfg.Graph, entry uint64, from string) {
+		lf.solve(g, true, entry, func(ev lockEvent, held uint64) {
+			if ev.needs != nil && held&(1<<ev.needs.id) == 0 {
+				lf.p.Reportf(ev.pos, "call of //repro:requires-lock %s from %s, which does not hold %s exclusively on every path to this call", ev.callee, from, ev.needs.name)
+			}
+		})
+	}
+	var entry uint64
+	if c, ok := lf.ci.requires[fd]; ok {
+		entry = 1 << c.id
+	}
+	check(lf.p.CFG(fd), entry, fd.Name.Name)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			check(cfg.New(lit.Body), 0, "a function literal in "+fd.Name.Name)
+		}
+		return true
+	})
 }
 
 // reportLockEdges checks every recorded edge for rank inversions and

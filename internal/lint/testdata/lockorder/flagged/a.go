@@ -1,7 +1,8 @@
 // Package a exercises lockorder: rank inversions between declared lock
 // classes, same-class double acquisition, inversions reached through
-// in-package helpers, deferred unlocks holding to function exit, and a
-// three-class acquisition cycle.
+// in-package helpers, deferred unlocks holding to function exit, a
+// three-class acquisition cycle, and requires-lock calls made without
+// their class held on every path (requireslock.go).
 package a
 
 import "sync"

@@ -50,10 +50,8 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/choice"
 	"repro/internal/core"
-	"repro/internal/cuckoo"
 	"repro/internal/fluid"
 	"repro/internal/hashes"
-	"repro/internal/mchtable"
 	"repro/internal/openaddr"
 	"repro/internal/queueing"
 	"repro/internal/rng"
@@ -192,28 +190,14 @@ func CompareDistributions(a, b *Hist) ChiSquareResult {
 // histograms viewed as distributions.
 func TotalVariation(a, b *Hist) float64 { return stats.TotalVariation(a, b) }
 
-// Extension APIs (Bloom filters, open addressing, cuckoo hashing).
+// Extension APIs (Bloom filters, open-addressing probe kinds).
 type (
 	// BloomFilter is a Bloom filter with k-independent or double hashing.
 	BloomFilter = bloom.Filter
 	// BloomMode selects the Bloom filter's hashing discipline.
 	BloomMode = bloom.Mode
-	// OpenTable is an open-addressed hash table of uint64 keys.
-	//
-	// Deprecated: use the typed OpenMap / NewOpenMap for key-value
-	// workloads. OpenTable remains the probe-cost reproduction vehicle
-	// (Lookup probe accounting, FillTo, UnsuccessfulSearchCost).
-	OpenTable = openaddr.Table
-	// ProbeKind selects the open-addressing probe sequence.
+	// ProbeKind selects the open-addressing probe sequence (see WithProbe).
 	ProbeKind = openaddr.Probe
-	// CuckooTable is a d-ary cuckoo hash table of uint64 keys.
-	//
-	// Deprecated: use the typed CuckooMap / NewCuckooMap for key-value
-	// workloads. CuckooTable remains the threshold/kick-count
-	// reproduction vehicle (Insert kick counts, Fill).
-	CuckooTable = cuckoo.Table
-	// CuckooMode selects the cuckoo table's hashing discipline.
-	CuckooMode = cuckoo.Mode
 )
 
 // Bloom filter modes.
@@ -227,12 +211,6 @@ const (
 	ProbeDoubleHash = openaddr.DoubleHash
 	ProbeUniform    = openaddr.Uniform
 	ProbeLinear     = openaddr.Linear
-)
-
-// Cuckoo hashing modes.
-const (
-	CuckooIndependent  = cuckoo.Independent
-	CuckooDoubleHashed = cuckoo.DoubleHashed
 )
 
 // NewBloomFilter returns a Bloom filter with at least mBits bits and k
@@ -252,60 +230,10 @@ func MeasureBloomFPR(f *BloomFilter, n int64, probes int) float64 {
 	return bloom.MeasureFPR(f, n, probes)
 }
 
-// NewOpenTable returns an open-addressed table with the given capacity
-// and probe discipline.
-//
-// Deprecated: use NewOpenMap[uint64, uint64](WithCapacity(...),
-// WithProbe(...)) for key-value workloads; NewOpenTable remains for the
-// probe-cost experiments.
-func NewOpenTable(capacity int, probe ProbeKind, seed uint64) *OpenTable {
-	return openaddr.New(capacity, probe, seed)
-}
-
-// NewCuckooTable returns a d-ary cuckoo table seeded deterministically.
-//
-// Deprecated: use NewCuckooMap[uint64, uint64](WithCapacity(...),
-// WithD(...)) for key-value workloads; NewCuckooTable remains for the
-// hashing-discipline comparison experiments.
-func NewCuckooTable(capacity, d int, mode CuckooMode, seed uint64) *CuckooTable {
-	return cuckoo.New(capacity, d, mode, seed, rng.NewXoshiro256(rng.Mix64(seed)))
-}
-
 // NewRandomSource returns the library's default deterministic random
-// source (xoshiro256**) for APIs that take one, such as
-// OpenTable.FillTo.
+// source (xoshiro256**), for callers that want a reproducible stream of
+// workload keys (the examples draw theirs from it).
 func NewRandomSource(seed uint64) rng.Source { return rng.NewXoshiro256(seed) }
-
-// Multiple-choice hash table API (the router/hardware data structure the
-// paper's introduction motivates).
-type (
-	// MCHTable is a bucketed multiple-choice hash table of uint64 keys.
-	//
-	// Deprecated: use the typed Table / NewTable. MCHTable remains the
-	// vehicle for comparing hashing disciplines (MCHIndependent vs
-	// MCHDoubleHashing) — the typed API is one-hash by construction and
-	// cannot express d independent evaluations.
-	MCHTable = mchtable.Table
-	// MCHConfig declares an MCHTable.
-	//
-	// Deprecated: the typed constructors take functional options
-	// (WithBuckets, WithSlots, WithD, ...) instead of a config struct.
-	MCHConfig = mchtable.Config
-	// MCHHashMode selects the table's hashing discipline.
-	MCHHashMode = mchtable.HashMode
-)
-
-// Multiple-choice hash table hashing modes.
-const (
-	MCHIndependent   = mchtable.IndependentHashes
-	MCHDoubleHashing = mchtable.DoubleHashing
-)
-
-// NewMCHTable returns an empty multiple-choice hash table.
-//
-// Deprecated: use NewTable[uint64, uint64](WithBuckets(...), ...) — see
-// the migration table in the README.
-func NewMCHTable(cfg MCHConfig) *MCHTable { return mchtable.New(cfg) }
 
 // Keyed-hashing API for mapping real byte-string items to candidate bins.
 type (

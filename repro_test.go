@@ -79,36 +79,11 @@ func TestFacadeExtensions(t *testing.T) {
 	if fpr > 5*want+0.01 {
 		t.Errorf("bloom FPR %v far above theory %v", fpr, want)
 	}
-
-	ot := repro.NewOpenTable(4093, repro.ProbeDoubleHash, 17)
-	ot.FillTo(0.5, repro.NewRandomSource(19))
-	cost := ot.UnsuccessfulSearchCost(5000, repro.NewRandomSource(23))
-	if math.Abs(cost-2) > 0.2 {
-		t.Errorf("open addressing cost %v at α=0.5, want ≈ 2", cost)
-	}
-
-	ct := repro.NewCuckooTable(1<<12, 3, repro.CuckooDoubleHashed, 29)
-	r := ct.Fill(1<<11, repro.NewRandomSource(31))
-	if r.Failed != 0 {
-		t.Errorf("cuckoo fill failed: %+v", r)
-	}
 }
 
-func TestFacadeMCHTableAndHashes(t *testing.T) {
-	tbl := repro.NewMCHTable(repro.MCHConfig{
-		Buckets: 512, SlotsPerBucket: 4, D: 3,
-		Mode: repro.MCHDoubleHashing, Seed: 41,
-	})
-	for k := uint64(0); k < 1024; k++ {
-		if !tbl.Put(k, k*k) {
-			t.Fatalf("put %d rejected", k)
-		}
-	}
-	if v, ok := tbl.Get(33); !ok || v != 33*33 {
-		t.Fatalf("get = %d,%v", v, ok)
-	}
-
-	// Keyed pipeline: SipHash digest → candidate bins.
+// TestFacadeKeyedHashes checks the keyed pipeline: SipHash digest →
+// candidate bins.
+func TestFacadeKeyedHashes(t *testing.T) {
 	key := repro.SipKeyFromSeed(7)
 	der := repro.NewChoiceDeriver(16411)
 	dst := make([]uint32, 4)

@@ -6,11 +6,6 @@ package repro
 // paper's one-hash discipline as an API contract), the functional-options
 // constructor set shared by all four families, and the common
 // Container[K, V] interface they satisfy.
-//
-// The older uint64-keyed aliases (MCHTable, CuckooTable, OpenTable and
-// their constructors, in repro.go) remain as thin deprecated shims over
-// the same implementations; they are the experiment vehicles for
-// comparing hashing disciplines.
 
 import (
 	"repro/internal/cmap"
@@ -73,7 +68,6 @@ var (
 	_ Container[string, string]   = (*Table[string, string])(nil)
 	_ Container[uint64, uint64]   = (*CuckooMap[uint64, uint64])(nil)
 	_ Container[[2]uint64, int]   = (*OpenMap[[2]uint64, int])(nil)
-	_ Container[uint64, uint64]   = (*MCHTable)(nil)
 	_ Container[uint64, struct{}] = (*Map[uint64, struct{}])(nil)
 )
 
@@ -99,9 +93,8 @@ func StringHasher[K ~string]() Hasher[K] { return keyed.StringOf[K]() }
 func BytesHasher[K comparable]() Hasher[K] { return keyed.BytesOf[K]() }
 
 // Uint64Hasher hashes a uint64 key as its 8-byte little-endian encoding —
-// byte-identical to the digests the deprecated uint64 APIs have always
-// computed, so typed and legacy containers with the same seed agree on
-// every digest.
+// byte-identical to the digests the internal uint64 tables compute, so
+// typed and uint64 containers with the same seed agree on every digest.
 var Uint64Hasher Hasher[uint64] = keyed.Uint64
 
 // HashBytes digests a raw byte slice under key. []byte is not comparable
