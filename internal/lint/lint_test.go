@@ -13,15 +13,26 @@ import (
 // TestAnalyzers runs each registered analyzer over its golden testdata,
 // testdata/<Name>: a `flagged` package where every violation carries a
 // // want comment, and a `clean` package where any finding is a false
-// positive. Every testdata directory must belong to a registered
-// analyzer, so the suite and its goldens cannot drift apart.
+// positive. lockorder also owns testdata/lockheld, the goldens of its
+// must-hold check of //repro:requires-lock. Every testdata directory
+// must belong to a registered analyzer, so the suite and its goldens
+// cannot drift apart.
 func TestAnalyzers(t *testing.T) {
-	registered := map[string]bool{}
+	type golden struct {
+		dir string
+		a   *lint.Analyzer
+	}
+	var goldens []golden
 	for _, a := range lint.Analyzers() {
-		registered[a.Name] = true
+		goldens = append(goldens, golden{a.Name, a})
+	}
+	goldens = append(goldens, golden{"lockheld", lint.LockOrder})
+	owned := map[string]bool{}
+	for _, g := range goldens {
+		owned[g.dir] = true
 		for _, sub := range []string{"flagged", "clean"} {
-			t.Run(a.Name+"/"+sub, func(t *testing.T) {
-				linttest.Run(t, filepath.Join("testdata", a.Name, sub), a)
+			t.Run(g.dir+"/"+sub, func(t *testing.T) {
+				linttest.Run(t, filepath.Join("testdata", g.dir, sub), g.a)
 			})
 		}
 	}
@@ -30,7 +41,7 @@ func TestAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range dirs {
-		if d.IsDir() && !registered[d.Name()] {
+		if d.IsDir() && !owned[d.Name()] {
 			t.Errorf("testdata/%s belongs to no analyzer in lint.Analyzers()", d.Name())
 		}
 	}

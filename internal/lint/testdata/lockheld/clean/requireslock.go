@@ -1,3 +1,5 @@
+// Package clean holds requires-lock calls made with their class held on
+// every path. Any lockorder finding here is a false positive.
 package clean
 
 import "sync"

@@ -1,3 +1,5 @@
+// Package a exercises lockorder's must-hold check: requires-lock calls
+// made without their class held on every path.
 package a
 
 import "sync"

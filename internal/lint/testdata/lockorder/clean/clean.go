@@ -1,9 +1,8 @@
 // Package clean holds the legal locking shapes: rank-increasing
 // nesting, strictly sequential acquisition of unordered classes (the
 // group-commit hand-off), stripe locks reached through an annotated
-// accessor, re-acquisition around a loop, and requires-lock calls made
-// with their class held (requireslock.go). Any lockorder finding here
-// is a false positive.
+// accessor, and re-acquisition around a loop. Any lockorder finding
+// here is a false positive.
 package clean
 
 import "sync"

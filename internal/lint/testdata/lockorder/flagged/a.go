@@ -1,8 +1,7 @@
 // Package a exercises lockorder: rank inversions between declared lock
 // classes, same-class double acquisition, inversions reached through
-// in-package helpers, deferred unlocks holding to function exit, a
-// three-class acquisition cycle, and requires-lock calls made without
-// their class held on every path (requireslock.go).
+// in-package helpers, deferred unlocks holding to function exit, and a
+// three-class acquisition cycle.
 package a
 
 import "sync"
